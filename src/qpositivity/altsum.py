@@ -25,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import cast
 
 from .qcombinat import (
     INVERSE_VANISHES,
+    IdentityCheckResult,
     InvalidRange,
     choose2,
     gauss_binom,
@@ -35,7 +37,6 @@ from .qcombinat import (
     q_poch,
 )
 from .qpoly import IntPoly, NotDivisible, ONE, ZERO
-from .reporting import IdentityCheckResult
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class CyclicParams:
     every n_j >= 1, 0 <= a <= s and 1 <= b <= r.  The a/b window checks can
     be waived with unsafe=True for out-of-theorem exploration; the shape
     constraints always hold (n_1 = 0 has no defined summation convention
-    and is rejected outright).
+    and is rejected outright), and so does the nonnegativity of every
+    exponent a k^2 + (2b-1) k(k-1)/2 with |k| <= n_1.
     """
 
     m: tuple[int, ...]
@@ -70,6 +72,9 @@ class CyclicParams:
                 raise InvalidRange(f"need 0 <= a <= s={s}, got a={self.a}")
             if not 1 <= self.b <= r:
                 raise InvalidRange(f"need 1 <= b <= r={r}, got b={self.b}")
+        n1 = self.n[0]
+        if any(self.a * k * k + (2 * self.b - 1) * choose2(k) < 0 for k in range(-n1, n1 + 1)):
+            raise InvalidRange(f"a={self.a}, b={self.b} give a negative q-exponent for |k| <= {n1}")
 
     @property
     def r(self) -> int:
@@ -90,9 +95,9 @@ class CyclicParams:
 
 @dataclass
 class PositivityReport:
-    """Per-instance verdict for a positivity scan of F."""
+    """Per-instance verdict of a positivity scan of F or of an (x, y) pair family."""
 
-    params: CyclicParams
+    params: CyclicParams | tuple[int, int]
     poly: IntPoly | None
     is_polynomial: bool
     nonneg: bool
@@ -135,9 +140,7 @@ def F(params: CyclicParams) -> IntPoly:
         term = cyclic_product(m, n, k)
         if term.is_zero():
             continue
-        e = a * k * k + (2 * b - 1) * choose2(k)
-        assert e >= 0, f"negative exponent {e} at k={k}"
-        term = term.shift(e)
+        term = term.shift(a * k * k + (2 * b - 1) * choose2(k))
         total = total - term if k % 2 else total + term
     num = q_factorial(m[0]) * q_factorial(n1) * q_factorial(m[-1] + n[-1] + 1) * total
     den = q_factorial(m[0] + m[-1] + 1) * q_factorial(n1 + n[-1])
@@ -222,8 +225,7 @@ def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
     if m1 < 0 or m2 < 0:
         raise InvalidRange(f"product_identity_check({m1}, {m2}, {k})")
     lhs = gauss_binom(m1 + m2 + 1, m1 + k) * gauss_binom(m1 + m2 + 1, m2 + k)
-    top = q_poch(m1 + m2 + 1)
-    assert isinstance(top, IntPoly)
+    top = cast(IntPoly, q_poch(m1 + m2 + 1))
     rhs = ZERO
     for t in range(m1 - k + 2):
         idxs = (t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1)

@@ -1,6 +1,7 @@
 """The super Catalan family.
 
-Three factorial-ratio families are computed by exact division:
+Three factorial-ratio families are computed by exact division, and each
+has an integer-only evaluator of its value at q = 1:
 
     A(m, n) = [2m]![2n]! / ([m+n]![m]![n]!)
     B(n, m) = [2n]![m]! / ([n]![2m]![n-m]!)        for n >= m
@@ -13,12 +14,25 @@ whose agreement is checked by the test suite.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, prod
+from operator import mul
 
-from .qcombinat import InvalidRange, NegativeIndex, gauss_binom, q_factorial
+from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_binom, q_factorial
 from .qpoly import IntPoly, ZERO
-from .reporting import IdentityCheckResult
+
+
+def _q_ratio(num: tuple[int, ...], den: tuple[int, ...]) -> IntPoly:
+    """prod [i]! over num divided exactly by prod [j]! over den."""
+    return reduce(mul, map(q_factorial, num)).exact_div(reduce(mul, map(q_factorial, den)))
+
+
+def _ratio_at_one(num: tuple[int, ...], den: tuple[int, ...]) -> int:
+    """prod i! over num divided by prod j! over den, which must be an integer."""
+    value, rem = divmod(prod(map(factorial, num)), prod(map(factorial, den)))
+    if rem:
+        raise NotImplementedError(f"non-integer specialization {num} / {den}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -26,9 +40,12 @@ def super_catalan_A(m: int, n: int) -> IntPoly:
     """The q-super Catalan number [2m]![2n]!/([m+n]![m]![n]!)."""
     if m < 0 or n < 0:
         raise NegativeIndex(f"super_catalan_A({m}, {n})")
-    num = q_factorial(2 * m) * q_factorial(2 * n)
-    den = q_factorial(m + n) * q_factorial(m) * q_factorial(n)
-    return num.exact_div(den)
+    return _q_ratio((2 * m, 2 * n), (m + n, m, n))
+
+
+def super_catalan_A_value_at_one(m: int, n: int) -> int:
+    """Integer specialization (2m)!(2n)!/((m+n)! m! n!) at q = 1."""
+    return _ratio_at_one((2 * m, 2 * n), (m + n, m, n))
 
 
 @lru_cache(maxsize=None)
@@ -36,9 +53,12 @@ def ratio_B(n: int, m: int) -> IntPoly:
     """[2n]![m]!/([n]![2m]![n-m]!), defined for n >= m >= 0."""
     if m < 0 or n < m:
         raise InvalidRange(f"ratio_B({n}, {m}) requires n >= m >= 0")
-    num = q_factorial(2 * n) * q_factorial(m)
-    den = q_factorial(n) * q_factorial(2 * m) * q_factorial(n - m)
-    return num.exact_div(den)
+    return _q_ratio((2 * n, m), (n, 2 * m, n - m))
+
+
+def ratio_B_value_at_one(n: int, m: int) -> int:
+    """Integer specialization (2n)! m!/(n! (2m)! (n-m)!) at q = 1."""
+    return _ratio_at_one((2 * n, m), (n, 2 * m, n - m))
 
 
 @lru_cache(maxsize=None)
@@ -46,19 +66,12 @@ def odd_super_catalan_direct(m: int, n: int) -> IntPoly:
     """The odd q-super Catalan number [2m+1]![2n]!/([m+n+1]![m]![n]!)."""
     if m < 0 or n < 0:
         raise NegativeIndex(f"odd_super_catalan_direct({m}, {n})")
-    num = q_factorial(2 * m + 1) * q_factorial(2 * n)
-    den = q_factorial(m + n + 1) * q_factorial(m) * q_factorial(n)
-    return num.exact_div(den)
+    return _q_ratio((2 * m + 1, 2 * n), (m + n + 1, m, n))
 
 
 def odd_super_catalan_value_at_one(m: int, n: int) -> int:
     """Integer specialization (2m+1)!(2n)!/((m+n+1)! m! n!) at q = 1."""
-    num = factorial(2 * m + 1) * factorial(2 * n)
-    den = factorial(m + n + 1) * factorial(m) * factorial(n)
-    value, rem = divmod(num, den)
-    if rem:
-        raise NotImplementedError(f"non-integer specialization at ({m}, {n})")
-    return value
+    return _ratio_at_one((2 * m + 1, 2 * n), (m + n + 1, m, n))
 
 
 def _inner_sum(N: int, h: int, k: int) -> IntPoly:

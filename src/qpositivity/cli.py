@@ -2,33 +2,99 @@
 
 Exit codes: 0 pass, 1 verification failure, 2 invalid input, 3 internal
 divisibility failure.
+
+Scans stream: each report row is written as soon as it is computed.  The
+grid bounds, the check names and the output file are validated before the
+first row, but an instance can still be rejected mid-grid (an (a, b) that
+--unsafe-params allows but that makes a q-exponent negative); the scan then
+exits 2 after the rows already written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import functools
 import json
 import sys
-from math import factorial
-from typing import Any, Iterator
+from itertools import product
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from . import altsum, catalan
-from .altsum import CyclicParams
-from .qcombinat import InvalidRange, NegativeIndex
-from .qpoly import IntPoly, NotDivisible
+from .altsum import CyclicParams, PositivityReport
+from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex
+from .qpoly import NotDivisible
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_NOT_DIVISIBLE = 3
 
-_FAMILY_CHECKS = {
-    "A": {"positivity", "q1-specialization"},
-    "B": {"positivity", "q1-specialization"},
-    "C": {"positivity", "oracle-equivalence", "q1-specialization"},
-    "F": {"positivity", "reciprocity", "degree-bound", "deletion", "q1-specialization"},
+# family -> (evaluator, independent integer evaluator at q = 1, parameter names)
+_PAIRS = {
+    "A": (catalan.super_catalan_A, catalan.super_catalan_A_value_at_one, ("m", "n")),
+    "B": (catalan.ratio_B, catalan.ratio_B_value_at_one, ("n", "m")),
+    "C": (catalan.odd_super_catalan_direct, catalan.odd_super_catalan_value_at_one, ("m", "n")),
+}
+
+
+def _q1_specialization(family: str, params: Any, report: PositivityReport) -> bool:
+    if family == "F":
+        reference = altsum.value_at_one_reference(params)
+    else:
+        reference = _PAIRS[family][1](*params)
+    return report.is_polynomial and reference == report.value_at_one
+
+
+def _degree_bound(family: str, params: CyclicParams, report: PositivityReport) -> bool:
+    bound = altsum.delta(params.m, params.n)
+    return report.is_polynomial and (report.degree is None or report.degree <= bound)
+
+
+def _reciprocity(family: str, params: CyclicParams, report: PositivityReport) -> bool:
+    try:
+        return altsum.reciprocity_check(params).passed
+    except (NotDivisible, InvalidRange):
+        return False
+
+
+def _deletion(family: str, params: CyclicParams, report: PositivityReport) -> bool | None:
+    if params.r < 3 or params.b < 2:
+        return None  # the recurrence is undefined here
+    try:
+        return altsum.deletion_check(params).passed
+    except NotDivisible:
+        return False
+
+
+# check -> (families it applies to, verdict on (family, instance, report)).
+# The instance is an (x, y) pair, or CyclicParams for F; a verdict of None
+# means the check was skipped, not failed.
+_CHECKS: dict[str, tuple[str, Callable[..., bool | None]]] = {
+    "positivity": ("ABCF", lambda family, params, report: report.is_polynomial and report.nonneg),
+    "oracle-equivalence": (
+        "C",
+        lambda family, pair, report: catalan.odd_super_catalan_recursive(*pair) == report.poly,
+    ),
+    "q1-specialization": ("ABCF", _q1_specialization),
+    "reciprocity": ("F", _reciprocity),
+    "degree-bound": ("F", _degree_bound),
+    "deletion": ("F", _deletion),
+}
+
+
+def _cyclic(args: argparse.Namespace) -> CyclicParams:
+    return CyclicParams(args.m, args.n, args.a, args.b, args.unsafe_params)
+
+
+# identity -> (flags it needs, its check)
+_IDENTITIES: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], IdentityCheckResult]]] = {
+    "double-expansion": (("N", "h"), lambda args: catalan.double_expansion_check(args.N, args.h)),
+    "reciprocity": (("m", "n", "a", "b"), lambda args: altsum.reciprocity_check(_cyclic(args))),
+    "product": (("m1", "m2", "k"), lambda args: altsum.product_identity_check(args.m1, args.m2, args.k)),
+    "deletion": (("m", "n", "a", "b"), lambda args: altsum.deletion_check(_cyclic(args))),
+    "recombine": (("m", "n", "ell", "k"), lambda args: altsum.recombine_check(args.m, args.n, args.ell, args.k)),
 }
 
 
@@ -39,15 +105,18 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpos",
         description="Exact computation and verification of q-combinatorial positivity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = [*_PAIRS, "F"]
 
     p_compute = sub.add_parser("compute", help="compute one object and print it")
-    p_compute.add_argument("family", choices=["A", "B", "C", "F"])
+    p_compute.set_defaults(run=cmd_compute)
+    p_compute.add_argument("family", choices=families)
     p_compute.add_argument("params", nargs="*", type=int, help="positional integer parameters (A m n; B n m; C m n)")
     p_compute.add_argument("--m", type=_int_list, help="comma-separated m-vector (family F)")
     p_compute.add_argument("--n", type=_int_list, help="comma-separated n-vector (family F)")
@@ -56,24 +125,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--unsafe-params", action="store_true")
 
     p_verify = sub.add_parser("verify", help="verify a named identity at one point")
-    p_verify.add_argument(
-        "identity",
-        choices=["double-expansion", "reciprocity", "product", "deletion", "recombine"],
-    )
-    p_verify.add_argument("--N", type=int)
-    p_verify.add_argument("--h", type=int)
-    p_verify.add_argument("--m", type=_int_list)
-    p_verify.add_argument("--n", type=_int_list)
-    p_verify.add_argument("--a", type=int)
-    p_verify.add_argument("--b", type=int)
-    p_verify.add_argument("--m1", type=int)
-    p_verify.add_argument("--m2", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--ell", type=int)
+    p_verify.set_defaults(run=cmd_verify)
+    p_verify.add_argument("identity", choices=list(_IDENTITIES))
+    for flag in dict.fromkeys(flag for flags, _ in _IDENTITIES.values() for flag in flags):
+        p_verify.add_argument("--" + flag, type=_int_list if flag in ("m", "n") else int)
     p_verify.add_argument("--unsafe-params", action="store_true")
 
     p_scan = sub.add_parser("scan", help="scan a parameter grid and emit reports")
-    p_scan.add_argument("family", choices=["A", "B", "C", "F"])
+    p_scan.set_defaults(run=cmd_scan)
+    p_scan.add_argument("family", choices=families)
     p_scan.add_argument("--max-sum", type=int, help="bound on m+n (A, C) or on n (B)")
     p_scan.add_argument("--r", type=int, help="length of the m-vector (family F)")
     p_scan.add_argument("--s", type=int, help="length of the n-vector (family F)")
@@ -88,256 +148,161 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _poly_human(p: IntPoly) -> str:
-    return str(p)
-
-
-def _compute_poly(args: argparse.Namespace) -> IntPoly:
-    if args.family == "F":
-        if args.m is None or args.n is None or args.a is None or args.b is None:
-            raise InvalidRange("family F needs --m, --n, --a, --b")
-        params = CyclicParams(args.m, args.n, args.a, args.b, args.unsafe_params)
-        return altsum.F(params)
-    if len(args.params) != 2:
-        raise InvalidRange(f"family {args.family} takes exactly two integer parameters")
-    x, y = args.params
-    if args.family == "A":
-        return catalan.super_catalan_A(x, y)
-    if args.family == "B":
-        return catalan.ratio_B(x, y)
-    return catalan.odd_super_catalan_direct(x, y)
-
-
-def cmd_compute(args: argparse.Namespace) -> int:
-    poly = _compute_poly(args)
-    print(_poly_human(poly))
-    print(json.dumps(poly.to_coeff_strings()))
-    return EXIT_PASS
-
-
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise InvalidRange(f"missing flags: {', '.join('--' + n for n in missing)}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    name = args.identity
-    if name == "double-expansion":
-        _require(args, "N", "h")
-        result = catalan.double_expansion_check(args.N, args.h)
-    elif name == "reciprocity":
+def cmd_compute(args: argparse.Namespace) -> int:
+    if args.family == "F":
         _require(args, "m", "n", "a", "b")
-        params = CyclicParams(args.m, args.n, args.a, args.b, args.unsafe_params)
-        result = altsum.reciprocity_check(params)
-    elif name == "deletion":
-        _require(args, "m", "n", "a", "b")
-        params = CyclicParams(args.m, args.n, args.a, args.b, args.unsafe_params)
-        result = altsum.deletion_check(params)
-    elif name == "product":
-        _require(args, "m1", "m2", "k")
-        result = altsum.product_identity_check(args.m1, args.m2, args.k)
+        poly = altsum.F(_cyclic(args))
+    elif len(args.params) != 2:
+        raise InvalidRange(f"family {args.family} takes exactly two integer parameters")
     else:
-        _require(args, "m", "n", "ell", "k")
-        result = altsum.recombine_check(args.m, args.n, args.ell, args.k)
+        poly = _PAIRS[args.family][0](*args.params)
+    print(poly)
+    print(json.dumps(poly.to_coeff_strings()))
+    return EXIT_PASS
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    flags, check = _IDENTITIES[args.identity]
+    _require(args, *flags)
+    result = check(args)
+    verdict = "PASS" if result.passed else "FAIL"
+    print(f"{verdict} {result.identity} {json.dumps(result.params, sort_keys=True, default=list)}")
     if result.passed:
-        print(f"PASS {result.identity} {json.dumps(result.params, sort_keys=True, default=list)}")
         return EXIT_PASS
-    print(f"FAIL {result.identity} {json.dumps(result.params, sort_keys=True, default=list)}")
     print(f"difference: {result.difference}")
     return EXIT_FAIL
 
 
-def _pair_value_at_one(family: str, x: int, y: int) -> int:
-    if family == "A":
-        num = factorial(2 * x) * factorial(2 * y)
-        den = factorial(x + y) * factorial(x) * factorial(y)
-    elif family == "B":
-        num = factorial(2 * x) * factorial(y)
-        den = factorial(x) * factorial(2 * y) * factorial(x - y)
-    else:
-        return catalan.odd_super_catalan_value_at_one(x, y)
-    return num // den
-
-
-def _pair_rows(family: str, args: argparse.Namespace, checks: list[str]) -> Iterator[dict[str, Any]]:
+def _pair_grid(family: str, args: argparse.Namespace) -> list[tuple[int, int]]:
+    """The (x, y) instances of an A/B/C scan, in report order."""
     if args.max_sum is None or args.max_sum < 0:
         raise InvalidRange("scan of A/B/C needs --max-sum >= 0")
     bound = args.max_sum
     if family == "B":
-        grid = [(n, m) for n in range(bound + 1) for m in range(n + 1)]
-    else:
-        grid = [(m, n) for m in range(bound + 1) for n in range(bound - m + 1)]
-    compute = {
-        "A": catalan.super_catalan_A,
-        "B": catalan.ratio_B,
-        "C": catalan.odd_super_catalan_direct,
-    }[family]
-    names = ("n", "m") if family == "B" else ("m", "n")
-    for x, y in grid:
-        poly = compute(x, y)
-        passed: list[str] = []
-        failed: list[str] = []
-        for check in checks:
-            if check == "positivity":
-                (passed if poly.is_nonneg() else failed).append(check)
-            elif check == "oracle-equivalence":
-                ok = catalan.odd_super_catalan_recursive(x, y) == poly
-                (passed if ok else failed).append(check)
-            elif check == "q1-specialization":
-                ok = poly.eval_at_one() == _pair_value_at_one(family, x, y)
-                (passed if ok else failed).append(check)
-        yield {
-            "family": family,
-            "params": {names[0]: x, names[1]: y},
-            "is_polynomial": True,
-            "coeffs": poly.to_coeff_strings(),
-            "degree": poly.degree,
-            "nonneg": poly.is_nonneg(),
-            "value_at_one": str(poly.eval_at_one()),
-            "checks_passed": passed,
-            "checks_failed": failed,
-        }
+        return [(n, m) for n in range(bound + 1) for m in range(n + 1)]
+    return [(m, n) for m in range(bound + 1) for n in range(bound - m + 1)]
 
 
-def _f_rows(args: argparse.Namespace, checks: list[str]) -> Iterator[dict[str, Any]]:
-    from itertools import product
-
+def _f_grid(args: argparse.Namespace) -> Iterator[CyclicParams]:
+    """The instances of an F scan, in report order; the grid is validated at once."""
     if args.r is None or args.s is None or args.param_max is None:
         raise InvalidRange("scan of F needs --r, --s and --param-max")
     if args.r < 2 or args.s < 2 or args.param_max < 1 or args.m_min < 0:
         raise InvalidRange("scan of F needs r, s >= 2 and param-max >= 1 and m-min >= 0")
-    a_values = list(args.a) if args.a is not None else list(range(args.s + 1))
-    b_values = list(args.b) if args.b is not None else list(range(1, args.r + 1))
-    m_grid = product(range(args.m_min, args.param_max + 1), repeat=args.r)
-    n_range = list(product(range(1, args.param_max + 1), repeat=args.s))
-    for m in m_grid:
-        for n in n_range:
-            for a in a_values:
-                for b in b_values:
-                    params = CyclicParams(m, n, a, b, args.unsafe_params)
-                    yield _f_row(params, checks)
+    grid = product(
+        product(range(args.m_min, args.param_max + 1), repeat=args.r),
+        product(range(1, args.param_max + 1), repeat=args.s),
+        args.a if args.a is not None else range(args.s + 1),
+        args.b if args.b is not None else range(1, args.r + 1),
+    )
+    return (CyclicParams(m, n, a, b, args.unsafe_params) for m, n, a, b in grid)
 
 
-def _f_row(params: CyclicParams, checks: list[str]) -> dict[str, Any]:
-    report = altsum.positivity_report(params)
-    passed: list[str] = []
-    failed: list[str] = []
-    for check in checks:
-        if check == "positivity":
-            ok = report.is_polynomial and report.nonneg
-        elif check == "degree-bound":
-            bound = altsum.delta(params.m, params.n)
-            ok = report.is_polynomial and (report.degree is None or report.degree <= bound)
-        elif check == "reciprocity":
-            try:
-                ok = altsum.reciprocity_check(params).passed
-            except (NotDivisible, InvalidRange):
-                ok = False
-        elif check == "deletion":
-            if params.r < 3 or params.b < 2:
-                continue  # recurrence undefined here; skipped, not failed
-            try:
-                ok = altsum.deletion_check(params).passed
-            except NotDivisible:
-                ok = False
-        elif check == "q1-specialization":
-            ref = altsum.value_at_one_reference(params)
-            ok = report.is_polynomial and ref.denominator == 1 and int(ref) == report.value_at_one
+def _rows(family: str, instances: Iterable[Any], checks: list[str]) -> Iterator[dict[str, Any]]:
+    for params in instances:
+        if family == "F":
+            report = altsum.positivity_report(params)
+            fields = {
+                "params": {"m": list(params.m), "n": list(params.n), "a": params.a, "b": params.b},
+                "out_of_theorem": not params.in_theorem(),
+            }
         else:
-            continue
-        (passed if ok else failed).append(check)
-    return {
-        "family": "F",
-        "params": {"m": list(params.m), "n": list(params.n), "a": params.a, "b": params.b},
-        "out_of_theorem": not params.in_theorem(),
-        "is_polynomial": report.is_polynomial,
-        "coeffs": report.poly.to_coeff_strings() if report.poly is not None else None,
-        "degree": report.degree,
-        "nonneg": report.nonneg,
-        "value_at_one": str(report.value_at_one),
-        "checks_passed": passed,
-        "checks_failed": failed,
-    }
+            evaluate, _, names = _PAIRS[family]
+            poly = evaluate(*params)
+            report = PositivityReport(params, poly, True, poly.is_nonneg(), poly.degree, poly.eval_at_one())
+            fields = {"params": dict(zip(names, params))}
+        verdicts = [(check, _CHECKS[check][1](family, params, report)) for check in checks]
+        yield {
+            "family": family,
+            **fields,
+            "is_polynomial": report.is_polynomial,
+            "coeffs": report.poly.to_coeff_strings() if report.poly is not None else None,
+            "degree": report.degree,
+            "nonneg": report.nonneg,
+            "value_at_one": str(report.value_at_one),
+            "checks_passed": [check for check, ok in verdicts if ok],
+            "checks_failed": [check for check, ok in verdicts if ok is False],
+        }
 
 
-def _params_csv(params: dict[str, Any]) -> str:
-    parts = []
-    for key, value in params.items():
-        if isinstance(value, list):
-            parts.append(f"{key}={','.join(str(v) for v in value)}")
-        else:
-            parts.append(f"{key}={value}")
-    return ";".join(parts)
+def _params_text(params: dict[str, Any]) -> str:
+    return ";".join(
+        f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}"
+        for key, value in params.items()
+    )
 
 
-def _emit(rows: list[dict[str, Any]], fmt: str, stream: io.TextIOBase) -> None:
-    if fmt == "jsonl":
-        for row in rows:
-            stream.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _write(rows: Iterator[dict[str, Any]], fmt: str, stream: TextIO) -> tuple[int, int]:
+    """Write each row as it comes; return the numbers of rows and of failing rows."""
+    count = failures = 0
+    writer = csv.writer(stream, lineterminator="\n")
+    if fmt == "csv":
+        writer.writerow(["family", "params", "degree", "nonneg", "value_at_one", "checks_passed", "checks_failed"])
     elif fmt == "json":
-        stream.write(json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            ["family", "params", "degree", "nonneg", "value_at_one", "checks_passed", "checks_failed"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["family"],
-                    _params_csv(row["params"]),
-                    "" if row["degree"] is None else row["degree"],
-                    int(row["nonneg"]),
-                    row["value_at_one"],
-                    ";".join(row["checks_passed"]),
-                    ";".join(row["checks_failed"]),
-                ]
-            )
-    else:
-        for row in rows:
+        stream.write("[")
+    for row in rows:
+        if fmt == "csv":
+            writer.writerow([
+                row["family"],
+                _params_text(row["params"]),
+                "" if row["degree"] is None else row["degree"],
+                int(row["nonneg"]),
+                row["value_at_one"],
+                ";".join(row["checks_passed"]),
+                ";".join(row["checks_failed"]),
+            ])
+        elif fmt == "text":
             verdict = "ok" if not row["checks_failed"] else "FAIL " + ";".join(row["checks_failed"])
             stream.write(
-                f"{row['family']} {_params_csv(row['params'])} degree={row['degree']} "
+                f"{row['family']} {_params_text(row['params'])} degree={row['degree']} "
                 f"nonneg={int(row['nonneg'])} value_at_one={row['value_at_one']} {verdict}\n"
             )
+        elif fmt == "jsonl":
+            stream.write(_json(row) + "\n")
+        else:  # json: the bytes json.dumps writes for the list of rows
+            stream.write(("," if count else "") + _json(row))
+        count += 1
+        failures += bool(row["checks_failed"])
+    if fmt == "json":
+        stream.write("]\n")
+    return count, failures
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     checks = [c for c in args.checks.split(",") if c]
     if not checks:
         raise InvalidRange("no checks requested")
-    allowed = _FAMILY_CHECKS[args.family]
-    unknown = [c for c in checks if c not in allowed]
+    unknown = [c for c in checks if c not in _CHECKS or args.family not in _CHECKS[c][0]]
     if unknown:
         raise InvalidRange(f"checks not applicable to family {args.family}: {', '.join(unknown)}")
-    if args.family == "F":
-        rows = list(_f_rows(args, checks))
-    else:
-        rows = list(_pair_rows(args.family, args, checks))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _emit(rows, args.format, fh)
-    else:
-        _emit(rows, args.format, sys.stdout)
-    failures = sum(1 for row in rows if row["checks_failed"])
-    print(f"scanned {len(rows)} instances, {failures} failures", file=sys.stderr)
+    instances = _f_grid(args) if args.family == "F" else _pair_grid(args.family, args)
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InvalidRange(f"cannot write {args.out}: {exc.strerror}") from exc
+    with out as stream:
+        count, failures = _write(_rows(args.family, instances, checks), args.format, stream)
+    print(f"scanned {count} instances, {failures} failures", file=sys.stderr)
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_scan(args)
-    except (InvalidRange, NegativeIndex, ValueError) as exc:
+        return args.run(args)
+    except (InvalidRange, NegativeIndex) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NotDivisible as exc:

@@ -4,8 +4,9 @@ Gaussian (q-binomial) coefficients, and the triangular exponent k(k-1)/2.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Any, Union
 
 from .qpoly import IntPoly, ONE, ZERO
 
@@ -16,6 +17,20 @@ class NegativeIndex(Exception):
 
 class InvalidRange(Exception):
     """Parameters outside an operation's stated domain."""
+
+
+@dataclass
+class IdentityCheckResult:
+    """Outcome of verifying a named identity at one parameter point.
+
+    `difference` is the polynomial LHS - RHS; it is zero exactly when the
+    check passed.
+    """
+
+    identity: str
+    params: dict[str, Any]
+    passed: bool
+    difference: IntPoly
 
 
 class _InverseVanishes:

@@ -58,6 +58,15 @@ class TestCyclicParams:
         with pytest.raises(InvalidRange):
             CyclicParams((1, 1), (0, 1), 5, 1, unsafe=True)
 
+    def test_unsafe_keeps_exponents_nonnegative(self):
+        # a k^2 + (2b - 1) k(k - 1)/2 is -1 at k = -1 for (a, b) = (0, 0),
+        # and at k = 1 for a = -1.
+        with pytest.raises(InvalidRange):
+            CyclicParams((1, 1), (1, 1), 0, 0, unsafe=True)
+        with pytest.raises(InvalidRange):
+            CyclicParams((1, 1), (1, 1), -1, 1, unsafe=True)
+        CyclicParams((1, 1), (1, 1), 1, 0, unsafe=True)
+
 
 class TestCyclicProduct:
     def test_out_of_range_k_vanishes(self):

@@ -6,7 +6,9 @@ from qpositivity.catalan import (
     odd_super_catalan_recursive,
     odd_super_catalan_value_at_one,
     ratio_B,
+    ratio_B_value_at_one,
     super_catalan_A,
+    super_catalan_A_value_at_one,
 )
 from qpositivity.qcombinat import InvalidRange, NegativeIndex, gauss_binom
 from qpositivity.qpoly import IntPoly, ONE
@@ -86,6 +88,14 @@ class TestOddSuperCatalanDirect:
                     odd_super_catalan_direct(m, n).eval_at_one()
                     == odd_super_catalan_value_at_one(m, n)
                 )
+
+
+def test_value_at_one_of_A_and_B():
+    for x in range(8):
+        for y in range(8):
+            assert super_catalan_A(x, y).eval_at_one() == super_catalan_A_value_at_one(x, y)
+            if y <= x:
+                assert ratio_B(x, y).eval_at_one() == ratio_B_value_at_one(x, y)
 
 
 class TestOddSuperCatalanRecursive:

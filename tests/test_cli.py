@@ -1,8 +1,16 @@
+import contextlib
 import csv
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qpositivity.cli import main
 from qpositivity.qpoly import IntPoly
@@ -149,3 +157,147 @@ class TestScan:
         lines = capsys.readouterr().out.splitlines()
         assert code in (0, 1)
         assert all(json.loads(line)["out_of_theorem"] for line in lines)
+
+    def test_out_not_created_on_invalid_grid(self, tmp_path, capsys):
+        out = tmp_path / "report.jsonl"
+        assert main(["scan", "F", "--param-max", "2", "--out", str(out)]) == 2
+        assert main(["scan", "C", "--max-sum", "2", "--checks", "reciprocity", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unwritable_out_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "report.jsonl"
+        assert main(["scan", "C", "--max-sum", "1", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_rows_before_a_rejected_instance_are_kept(self, capsys):
+        # a = 0, b = 0 passes the grid checks but makes the k = -1 exponent negative.
+        code = main(["scan", "F", "--r", "2", "--s", "2", "--param-max", "1",
+                     "--a", "0", "--b", "1,0", "--unsafe-params"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.out.splitlines()) == 1
+        assert "negative q-exponent" in captured.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
+FORMATS = ("jsonl", "json", "csv", "text")
+# Reports written by the implementation that held every row in memory; the
+# streaming writer must reproduce them byte for byte.  name -> (argv, exit code)
+GOLDEN = {
+    "scan_A_max-sum3": (["scan", "A", "--max-sum", "3", "--checks", "positivity,q1-specialization"], 0),
+    "scan_B_max-sum3": (["scan", "B", "--max-sum", "3", "--checks", "q1-specialization,positivity"], 0),
+    "scan_C_max-sum4": (
+        ["scan", "C", "--max-sum", "4", "--checks", "positivity,oracle-equivalence,q1-specialization"],
+        0,
+    ),
+    "scan_F_r2_s2_param-max2": (
+        ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2",
+         "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization"],
+        0,
+    ),
+    "scan_F_unsafe": (
+        ["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--m-min", "0", "--a", "0,1,2,3",
+         "--b", "1,2,3", "--unsafe-params", "--checks", "positivity,degree-bound,q1-specialization"],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_report(name, fmt, tmp_path, capsys):
+    argv, code = GOLDEN[name]
+    out = tmp_path / f"{name}.{fmt}"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+
+
+def test_golden_report_on_stdout(capsys):
+    argv, code = GOLDEN["scan_C_max-sum4"]
+    assert main(argv + ["--format", "json"]) == code
+    assert capsys.readouterr().out == (GOLDEN_DIR / "scan_C_max-sum4.json").read_text()
+
+
+# -- the exit-code contract on arbitrary argv ----------------------------------
+
+SMALL = st.integers(-2, 4)
+# Mostly valid vector entries, so that draws get past shape validation.
+ENTRY = st.one_of(st.integers(1, 3), st.integers(-1, 3))
+CHECK_NAMES = ["positivity", "oracle-equivalence", "q1-specialization",
+               "reciprocity", "degree-bound", "deletion", "no-such-check"]
+
+
+@st.composite
+def _flags(draw, names, vectors=("m", "n")):
+    """--name=value for a random subset of names; vectors get comma-separated lists."""
+    argv = []
+    for name in names:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        if name in vectors:
+            value = ",".join(map(str, draw(st.lists(ENTRY, min_size=1, max_size=3))))
+        else:
+            value = str(draw(SMALL))
+        argv.append(f"--{name}={value}")
+    return argv
+
+
+@st.composite
+def _argv(draw, command):
+    unsafe = ["--unsafe-params"] if draw(st.booleans()) else []
+    # F has the largest input space, so it gets half of the draws.
+    family = draw(st.one_of(st.just("F"), st.sampled_from("ABC")))
+    if command == "compute":
+        params = [str(v) for v in draw(st.lists(SMALL, max_size=3))]
+        return ["compute", family, *params, *draw(_flags(("m", "n", "a", "b"))), *unsafe]
+    if command == "verify":
+        identity = draw(st.sampled_from(["double-expansion", "reciprocity", "product", "deletion", "recombine"]))
+        flags = draw(_flags(("N", "h", "m", "n", "a", "b", "m1", "m2", "k", "ell")))
+        return ["verify", identity, *flags, *unsafe]
+    checks = ",".join(draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, max_size=3)))
+    if family == "F":
+        grid = [f"--r={draw(st.integers(1, 3))}", f"--s={draw(st.integers(1, 3))}",
+                f"--param-max={draw(st.integers(0, 2))}", *draw(_flags(("m-min", "a", "b"), ("a", "b")))]
+    else:
+        grid = draw(_flags(("max-sum",)))
+    return ["scan", family, *grid, f"--checks={checks}", *unsafe]
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "scan"])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_main_maps_every_argv_to_an_exit_code(command, data):
+    argv = data.draw(_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if command == "scan" and code in (0, 1):
+        rows = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert code == int(any(row["checks_failed"] for row in rows))
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Requests whose input check must not be an assert, which python -O strips:
+# (argv, exit code).  The compute requests are verify-mix's known faults.
+_OPTIMIZED_CASES = [
+    *((argv, 2) for argv, expect in _load_workloads().verify_mix(1) if expect == ("invalid",)),
+    (["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--a", "3",
+      "--unsafe-params", "--checks", "positivity,reciprocity"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,code", _OPTIMIZED_CASES, ids=[" ".join(argv) for argv, _ in _OPTIMIZED_CASES])
+def test_exit_code_does_not_depend_on_optimize(argv, code, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "qpositivity", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), (flags, proc.stderr)
