@@ -10,9 +10,11 @@ with cyclic index wraparound and the prefactor
 
     pre(m, n) = [m1]![n1]![m_r + n_s + 1]! / ([m1 + m_r + 1]![n1 + n_s]!).
 
-The whole k-sum is accumulated first and the prefactor division is the one
-final exact division: individual terms are not generally polynomial, so a
-NotDivisible there is a meaningful global signal, not a per-term accident.
+The whole k-sum is accumulated first and then handed, with the factorials
+of the prefactor, to qcombinat.q_ratio for the one final exact division:
+individual terms are not generally polynomial, so a NotDivisible there is a
+meaningful global signal, not a per-term accident.  The q-multinomials of
+the product identity are q_ratio values too.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -24,19 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import cast
+from math import comb
 
-from .qcombinat import (
-    INVERSE_VANISHES,
-    IdentityCheckResult,
-    InvalidRange,
-    choose2,
-    gauss_binom,
-    q_factorial,
-    q_poch,
-)
-from .qpoly import IntPoly, NotDivisible, ONE, ZERO
+from .qcombinat import IdentityCheckResult, InvalidRange, choose2, gauss_binom, q_poch, q_ratio, ratio_at_one
+from .qpoly import IntPoly, ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -93,18 +86,6 @@ class CyclicParams:
         )
 
 
-@dataclass
-class PositivityReport:
-    """Per-instance verdict of a positivity scan of F or of an (x, y) pair family."""
-
-    params: CyclicParams | tuple[int, int]
-    poly: IntPoly | None
-    is_polynomial: bool
-    nonneg: bool
-    degree: int | None
-    value_at_one: int
-
-
 def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
     """prod_i gauss_binom(m_i+m_{i+1}+1, m_i+k) * prod_j gauss_binom(n_j+n_{j+1}, n_j+k),
     with wraparound m_{r+1} = m_1, n_{s+1} = n_1."""
@@ -142,9 +123,7 @@ def F(params: CyclicParams) -> IntPoly:
             continue
         term = term.shift(a * k * k + (2 * b - 1) * choose2(k))
         total = total - term if k % 2 else total + term
-    num = q_factorial(m[0]) * q_factorial(n1) * q_factorial(m[-1] + n[-1] + 1) * total
-    den = q_factorial(m[0] + m[-1] + 1) * q_factorial(n1 + n[-1])
-    result = num.exact_div(den)
+    result = q_ratio((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]), total)
     _f_cache[key] = result
     return result
 
@@ -182,25 +161,7 @@ def value_at_one_reference(params: CyclicParams) -> Fraction:
         for j in range(s):
             prod *= _int_binom(n[j] + n[(j + 1) % s], n[j] + k)
         total += -prod if k % 2 else prod
-    pre = Fraction(
-        factorial(m[0]) * factorial(n1) * factorial(m[-1] + n[-1] + 1),
-        factorial(m[0] + m[-1] + 1) * factorial(n1 + n[-1]),
-    )
-    return pre * total
-
-
-def positivity_report(params: CyclicParams) -> PositivityReport:
-    """Evaluate F and package the verdict; NotDivisible becomes a
-    not-a-polynomial verdict instead of an exception."""
-    try:
-        poly = F(params)
-    except NotDivisible:
-        ref = value_at_one_reference(params)
-        at_one = int(ref) if ref.denominator == 1 else 0
-        return PositivityReport(params, None, False, False, None, at_one)
-    return PositivityReport(
-        params, poly, True, poly.is_nonneg(), poly.degree, poly.eval_at_one()
-    )
+    return ratio_at_one((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1])) * total
 
 
 def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
@@ -220,22 +181,18 @@ def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
 
 def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
     """Check the expansion of gauss_binom(m1+m2+1, m1+k)*gauss_binom(m1+m2+1, m2+k)
-    as a sum of q-multinomial ratios over t, with terms whose Pochhammer
-    index goes negative dropped by the zero convention."""
+    as a sum over t of the q-multinomials
+    [m1+m2+1]!/([t]![t+2k-1]![m1-k-t+1]![m2-k-t+1]!), which vanish when an
+    index in the denominator goes negative.  Written with q-Pochhammer
+    symbols the (1-q) powers cancel, since the indices sum to m1+m2+1."""
     if m1 < 0 or m2 < 0:
         raise InvalidRange(f"product_identity_check({m1}, {m2}, {k})")
     lhs = gauss_binom(m1 + m2 + 1, m1 + k) * gauss_binom(m1 + m2 + 1, m2 + k)
-    top = cast(IntPoly, q_poch(m1 + m2 + 1))
     rhs = ZERO
     for t in range(m1 - k + 2):
-        idxs = (t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1)
-        parts = [q_poch(u) for u in idxs]
-        if any(p is INVERSE_VANISHES for p in parts):
+        term = q_ratio((m1 + m2 + 1,), (t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1))
+        if term.is_zero():
             continue
-        den = ONE
-        for p in parts:
-            den = den * p  # type: ignore[operator]
-        term = top.exact_div(den)
         rhs = rhs + term.shift(t * (t + 2 * k - 1))
     diff = lhs - rhs
     info = {"m1": m1, "m2": m2, "k": k}
@@ -286,14 +243,14 @@ def recombine_check(
     m3, mr = tail[0], tail[-1]
     left = cyclic_product(tail, n, k)
     if not left.is_zero():
-        left = left * q_poch(m3 + ell + 1) * q_poch(mr + ell + 1)  # type: ignore[operator]
+        left = left * q_poch(m3 + ell + 1) * q_poch(mr + ell + 1)
     idxs = (ell - k + 1, ell + k, mr + m3 + 1)
     if any(u < 0 for u in idxs):
         right = ZERO
     else:
         right = cyclic_product((ell,) + tail, n, k)
         for u in idxs:
-            right = right * q_poch(u)  # type: ignore[operator]
+            right = right * q_poch(u)
     diff = left - right
     info = {"m": m, "n": n, "ell": ell, "k": k}
     return IdentityCheckResult("recombine", info, diff.is_zero(), diff)

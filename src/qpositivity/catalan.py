@@ -1,7 +1,8 @@
 """The super Catalan family.
 
-Three factorial-ratio families are computed by exact division, and each
-has an integer-only evaluator of its value at q = 1:
+Three factorial-ratio families are computed by qcombinat.q_ratio, and
+each has an evaluator of its value at q = 1 that uses only integer
+arithmetic (qcombinat.ratio_at_one):
 
     A(m, n) = [2m]![2n]! / ([m+n]![m]![n]!)
     B(n, m) = [2n]![m]! / ([n]![2m]![n-m]!)        for n >= m
@@ -14,25 +15,11 @@ whose agreement is checked by the test suite.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from math import factorial, prod
-from operator import mul
+from fractions import Fraction
+from functools import lru_cache
 
-from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_binom, q_factorial
+from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_binom, q_ratio, ratio_at_one
 from .qpoly import IntPoly, ZERO
-
-
-def _q_ratio(num: tuple[int, ...], den: tuple[int, ...]) -> IntPoly:
-    """prod [i]! over num divided exactly by prod [j]! over den."""
-    return reduce(mul, map(q_factorial, num)).exact_div(reduce(mul, map(q_factorial, den)))
-
-
-def _ratio_at_one(num: tuple[int, ...], den: tuple[int, ...]) -> int:
-    """prod i! over num divided by prod j! over den, which must be an integer."""
-    value, rem = divmod(prod(map(factorial, num)), prod(map(factorial, den)))
-    if rem:
-        raise NotImplementedError(f"non-integer specialization {num} / {den}")
-    return value
 
 
 @lru_cache(maxsize=None)
@@ -40,12 +27,12 @@ def super_catalan_A(m: int, n: int) -> IntPoly:
     """The q-super Catalan number [2m]![2n]!/([m+n]![m]![n]!)."""
     if m < 0 or n < 0:
         raise NegativeIndex(f"super_catalan_A({m}, {n})")
-    return _q_ratio((2 * m, 2 * n), (m + n, m, n))
+    return q_ratio((2 * m, 2 * n), (m + n, m, n))
 
 
-def super_catalan_A_value_at_one(m: int, n: int) -> int:
-    """Integer specialization (2m)!(2n)!/((m+n)! m! n!) at q = 1."""
-    return _ratio_at_one((2 * m, 2 * n), (m + n, m, n))
+def super_catalan_A_value_at_one(m: int, n: int) -> Fraction:
+    """The specialization (2m)!(2n)!/((m+n)! m! n!) at q = 1."""
+    return ratio_at_one((2 * m, 2 * n), (m + n, m, n))
 
 
 @lru_cache(maxsize=None)
@@ -53,12 +40,12 @@ def ratio_B(n: int, m: int) -> IntPoly:
     """[2n]![m]!/([n]![2m]![n-m]!), defined for n >= m >= 0."""
     if m < 0 or n < m:
         raise InvalidRange(f"ratio_B({n}, {m}) requires n >= m >= 0")
-    return _q_ratio((2 * n, m), (n, 2 * m, n - m))
+    return q_ratio((2 * n, m), (n, 2 * m, n - m))
 
 
-def ratio_B_value_at_one(n: int, m: int) -> int:
-    """Integer specialization (2n)! m!/(n! (2m)! (n-m)!) at q = 1."""
-    return _ratio_at_one((2 * n, m), (n, 2 * m, n - m))
+def ratio_B_value_at_one(n: int, m: int) -> Fraction:
+    """The specialization (2n)! m!/(n! (2m)! (n-m)!) at q = 1."""
+    return ratio_at_one((2 * n, m), (n, 2 * m, n - m))
 
 
 @lru_cache(maxsize=None)
@@ -66,12 +53,12 @@ def odd_super_catalan_direct(m: int, n: int) -> IntPoly:
     """The odd q-super Catalan number [2m+1]![2n]!/([m+n+1]![m]![n]!)."""
     if m < 0 or n < 0:
         raise NegativeIndex(f"odd_super_catalan_direct({m}, {n})")
-    return _q_ratio((2 * m + 1, 2 * n), (m + n + 1, m, n))
+    return q_ratio((2 * m + 1, 2 * n), (m + n + 1, m, n))
 
 
-def odd_super_catalan_value_at_one(m: int, n: int) -> int:
-    """Integer specialization (2m+1)!(2n)!/((m+n+1)! m! n!) at q = 1."""
-    return _ratio_at_one((2 * m + 1, 2 * n), (m + n + 1, m, n))
+def odd_super_catalan_value_at_one(m: int, n: int) -> Fraction:
+    """The specialization (2m+1)!(2n)!/((m+n+1)! m! n!) at q = 1."""
+    return ratio_at_one((2 * m + 1, 2 * n), (m + n + 1, m, n))
 
 
 def _inner_sum(N: int, h: int, k: int) -> IntPoly:

@@ -4,10 +4,8 @@ Exit codes: 0 pass, 1 verification failure, 2 invalid input, 3 internal
 divisibility failure.
 
 Scans stream: each report row is written as soon as it is computed.  The
-grid bounds, the check names and the output file are validated before the
-first row, but an instance can still be rejected mid-grid (an (a, b) that
---unsafe-params allows but that makes a q-exponent negative); the scan then
-exits 2 after the rows already written.
+grid, the check names and the output file are validated before the first
+row.
 """
 
 from __future__ import annotations
@@ -22,9 +20,9 @@ from itertools import product
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from . import altsum, catalan
-from .altsum import CyclicParams, PositivityReport
+from .altsum import CyclicParams
 from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex
-from .qpoly import NotDivisible
+from .qpoly import IntPoly, NotDivisible
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,27 +37,26 @@ _PAIRS = {
 }
 
 
-def _q1_specialization(family: str, params: Any, report: PositivityReport) -> bool:
+def _q1_specialization(family: str, params: Any, poly: IntPoly | None) -> bool:
     if family == "F":
         reference = altsum.value_at_one_reference(params)
     else:
         reference = _PAIRS[family][1](*params)
-    return report.is_polynomial and reference == report.value_at_one
+    return poly is not None and reference == poly.eval_at_one()
 
 
-def _degree_bound(family: str, params: CyclicParams, report: PositivityReport) -> bool:
-    bound = altsum.delta(params.m, params.n)
-    return report.is_polynomial and (report.degree is None or report.degree <= bound)
+def _degree_bound(family: str, params: CyclicParams, poly: IntPoly | None) -> bool:
+    return poly is not None and (poly.degree is None or poly.degree <= altsum.delta(params.m, params.n))
 
 
-def _reciprocity(family: str, params: CyclicParams, report: PositivityReport) -> bool:
+def _reciprocity(family: str, params: CyclicParams, poly: IntPoly | None) -> bool:
     try:
         return altsum.reciprocity_check(params).passed
     except (NotDivisible, InvalidRange):
         return False
 
 
-def _deletion(family: str, params: CyclicParams, report: PositivityReport) -> bool | None:
+def _deletion(family: str, params: CyclicParams, poly: IntPoly | None) -> bool | None:
     if params.r < 3 or params.b < 2:
         return None  # the recurrence is undefined here
     try:
@@ -68,15 +65,13 @@ def _deletion(family: str, params: CyclicParams, report: PositivityReport) -> bo
         return False
 
 
-# check -> (families it applies to, verdict on (family, instance, report)).
-# The instance is an (x, y) pair, or CyclicParams for F; a verdict of None
-# means the check was skipped, not failed.
+# check -> (families it applies to, verdict on (family, instance, poly)).
+# The instance is an (x, y) pair, or CyclicParams for F; poly is its value,
+# None when F is not a polynomial there.  A verdict of None means the check
+# was skipped, not failed.
 _CHECKS: dict[str, tuple[str, Callable[..., bool | None]]] = {
-    "positivity": ("ABCF", lambda family, params, report: report.is_polynomial and report.nonneg),
-    "oracle-equivalence": (
-        "C",
-        lambda family, pair, report: catalan.odd_super_catalan_recursive(*pair) == report.poly,
-    ),
+    "positivity": ("ABCF", lambda family, params, poly: poly is not None and poly.is_nonneg()),
+    "oracle-equivalence": ("C", lambda family, pair, poly: catalan.odd_super_catalan_recursive(*pair) == poly),
     "q1-specialization": ("ABCF", _q1_specialization),
     "reciprocity": ("F", _reciprocity),
     "degree-bound": ("F", _degree_bound),
@@ -195,19 +190,27 @@ def _f_grid(args: argparse.Namespace) -> Iterator[CyclicParams]:
         raise InvalidRange("scan of F needs --r, --s and --param-max")
     if args.r < 2 or args.s < 2 or args.param_max < 1 or args.m_min < 0:
         raise InvalidRange("scan of F needs r, s >= 2 and param-max >= 1 and m-min >= 0")
+    a_values = args.a if args.a is not None else range(args.s + 1)
+    b_values = args.b if args.b is not None else range(1, args.r + 1)
+    for a, b in product(a_values, b_values):  # n_1 = param-max has the grid's widest range of k
+        CyclicParams((args.m_min,) * args.r, (args.param_max,) * args.s, a, b, args.unsafe_params)
     grid = product(
         product(range(args.m_min, args.param_max + 1), repeat=args.r),
         product(range(1, args.param_max + 1), repeat=args.s),
-        args.a if args.a is not None else range(args.s + 1),
-        args.b if args.b is not None else range(1, args.r + 1),
+        a_values,
+        b_values,
     )
     return (CyclicParams(m, n, a, b, args.unsafe_params) for m, n, a, b in grid)
 
 
 def _rows(family: str, instances: Iterable[Any], checks: list[str]) -> Iterator[dict[str, Any]]:
     for params in instances:
+        poly: IntPoly | None
         if family == "F":
-            report = altsum.positivity_report(params)
+            try:
+                poly = altsum.F(params)
+            except NotDivisible:
+                poly = None
             fields = {
                 "params": {"m": list(params.m), "n": list(params.n), "a": params.a, "b": params.b},
                 "out_of_theorem": not params.in_theorem(),
@@ -215,17 +218,17 @@ def _rows(family: str, instances: Iterable[Any], checks: list[str]) -> Iterator[
         else:
             evaluate, _, names = _PAIRS[family]
             poly = evaluate(*params)
-            report = PositivityReport(params, poly, True, poly.is_nonneg(), poly.degree, poly.eval_at_one())
             fields = {"params": dict(zip(names, params))}
-        verdicts = [(check, _CHECKS[check][1](family, params, report)) for check in checks]
+        verdicts = [(check, _CHECKS[check][1](family, params, poly)) for check in checks]
         yield {
             "family": family,
             **fields,
-            "is_polynomial": report.is_polynomial,
-            "coeffs": report.poly.to_coeff_strings() if report.poly is not None else None,
-            "degree": report.degree,
-            "nonneg": report.nonneg,
-            "value_at_one": str(report.value_at_one),
+            "is_polynomial": poly is not None,
+            "coeffs": poly.to_coeff_strings() if poly is not None else None,
+            "degree": poly.degree if poly is not None else None,
+            "nonneg": poly is not None and poly.is_nonneg(),
+            # only F can fail to be a polynomial; its q = 1 value is then an exact fraction
+            "value_at_one": str(altsum.value_at_one_reference(params) if poly is None else poly.eval_at_one()),
             "checks_passed": [check for check, ok in verdicts if ok],
             "checks_failed": [check for check, ok in verdicts if ok is False],
         }

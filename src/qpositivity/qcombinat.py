@@ -1,12 +1,19 @@
 """q-analog primitives: q-integers, q-factorials, q-Pochhammer products,
 Gaussian (q-binomial) coefficients, and the triangular exponent k(k-1)/2.
+
+Every ratio of q-factorials in the package is computed by q_ratio, the one
+place that decides how (multiply the numerator, then divide exactly), and
+its value at q = 1 by ratio_at_one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Union
+from fractions import Fraction
+from functools import lru_cache, reduce
+from math import factorial, prod
+from operator import mul
+from typing import Any
 
 from .qpoly import IntPoly, ONE, ZERO
 
@@ -33,21 +40,6 @@ class IdentityCheckResult:
     difference: IntPoly
 
 
-class _InverseVanishes:
-    """Marker for (q;q)_n with n < 0: its reciprocal is zero by convention,
-    so any term containing it as a denominator factor vanishes."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "InverseVanishes"
-
-
-INVERSE_VANISHES = _InverseVanishes()
-
-PochValue = Union[IntPoly, _InverseVanishes]
-
-
 def q_int(n: int) -> IntPoly:
     """The q-integer 1 + q + ... + q^(n-1); q_int(0) is 0."""
     if n < 0:
@@ -71,14 +63,10 @@ def q_factorial(n: int) -> IntPoly:
 _pochhammers: list[IntPoly] = [ONE]
 
 
-def q_poch(n: int) -> PochValue:
-    """(1-q)(1-q^2)...(1-q^n) for n >= 0; INVERSE_VANISHES for n < 0.
-
-    The negative case is a value, not an error: callers must zero the
-    enclosing term, matching the convention 1/(q;q)_n = 0 for n < 0.
-    """
+def q_poch(n: int) -> IntPoly:
+    """The q-Pochhammer product (q;q)_n = (1-q)(1-q^2)...(1-q^n)."""
     if n < 0:
-        return INVERSE_VANISHES
+        raise NegativeIndex(f"q_poch({n})")
     while len(_pochhammers) <= n:
         k = len(_pochhammers)
         factor = IntPoly((1,) + (0,) * (k - 1) + (-1,))
@@ -86,12 +74,26 @@ def q_poch(n: int) -> PochValue:
     return _pochhammers[n]
 
 
+def q_ratio(num: tuple[int, ...], den: tuple[int, ...], *times: IntPoly) -> IntPoly:
+    """prod [i]! over num times the polynomials in times, divided exactly by
+    prod [j]! over den (NotDivisible when it does not divide); ZERO when
+    some j < 0, by the convention 1/[j]! = 0."""
+    if any(j < 0 for j in den):
+        return ZERO
+    top = reduce(mul, [*map(q_factorial, num), *times])
+    return top.exact_div(reduce(mul, map(q_factorial, den)))
+
+
+def ratio_at_one(num: tuple[int, ...], den: tuple[int, ...]) -> Fraction:
+    """prod i! over num divided by prod j! over den, all indices >= 0:
+    the value of q_ratio(num, den) at q = 1."""
+    return Fraction(prod(map(factorial, num)), prod(map(factorial, den)))
+
+
 @lru_cache(maxsize=None)
 def gauss_binom(N: int, K: int) -> IntPoly:
     """The Gaussian coefficient: [N]!/([K]![N-K]!) for 0 <= K <= N, else 0."""
-    if K < 0 or N < 0 or K > N:
-        return ZERO
-    return q_factorial(N).exact_div(q_factorial(K) * q_factorial(N - K))
+    return q_ratio((N,), (K, N - K))
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,6 @@ from qpositivity.altsum import (
     cyclic_product,
     deletion_check,
     delta,
-    positivity_report,
     product_identity_check,
     recombine_check,
     reciprocity_check,
@@ -150,14 +149,6 @@ class TestF:
             ref = value_at_one_reference(params)
             assert ref.denominator == 1
             assert F(params).eval_at_one() == int(ref)
-
-    def test_positivity_report_fields(self):
-        params = CyclicParams((1, 1), (1, 1), 1, 2)
-        report = positivity_report(params)
-        assert report.is_polynomial and report.nonneg
-        assert report.degree == report.poly.degree
-        assert report.value_at_one == report.poly.eval_at_one()
-        assert not report.nonneg or report.is_polynomial
 
 
 class TestExponents:

@@ -6,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qpositivity import altsum
+from qpositivity.altsum import CyclicParams
 from qpositivity.cli import main
-from qpositivity.qpoly import IntPoly
+from qpositivity.qpoly import IntPoly, NotDivisible
 
 
 class TestCompute:
@@ -162,6 +165,10 @@ class TestScan:
         out = tmp_path / "report.jsonl"
         assert main(["scan", "F", "--param-max", "2", "--out", str(out)]) == 2
         assert main(["scan", "C", "--max-sum", "2", "--checks", "reciprocity", "--out", str(out)]) == 2
+        # a = 0, b = 0 makes the k = -1 exponent negative; the first (a, b) is valid
+        assert main(["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--a", "0", "--b", "1,0",
+                     "--unsafe-params", "--out", str(out)]) == 2
+        assert "negative q-exponent" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_out_is_invalid_input(self, tmp_path, capsys):
@@ -169,14 +176,32 @@ class TestScan:
         assert main(["scan", "C", "--max-sum", "1", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
 
-    def test_rows_before_a_rejected_instance_are_kept(self, capsys):
-        # a = 0, b = 0 passes the grid checks but makes the k = -1 exponent negative.
+    # No F instance is known to be non-polynomial, so F is made to fail at one
+    # instance; the second case also gives it a q = 1 value that is not an integer.
+    @pytest.mark.parametrize("reference", [None, Fraction(7, 2)])
+    def test_non_polynomial_row(self, reference, monkeypatch, capsys):
+        bad = CyclicParams((1, 1), (1, 1), 1, 2)
+        evaluate, value_at_one = altsum.F, altsum.value_at_one_reference
+
+        def f_with_one_failure(params):
+            if params == bad:
+                raise NotDivisible(IntPoly((1,)))
+            return evaluate(params)
+
+        monkeypatch.setattr(altsum, "F", f_with_one_failure)
+        if reference is not None:
+            monkeypatch.setattr(altsum, "value_at_one_reference",
+                                lambda params: reference if params == bad else value_at_one(params))
         code = main(["scan", "F", "--r", "2", "--s", "2", "--param-max", "1",
-                     "--a", "0", "--b", "1,0", "--unsafe-params"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert len(captured.out.splitlines()) == 1
-        assert "negative q-exponent" in captured.err
+                     "--checks", "positivity,q1-specialization,degree-bound"])
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        [row] = [row for row in rows if row["params"] == {"m": [1, 1], "n": [1, 1], "a": 1, "b": 2}]
+        assert row["is_polynomial"] is False and row["nonneg"] is False
+        assert row["coeffs"] is None and row["degree"] is None
+        assert row["value_at_one"] == str(altsum.value_at_one_reference(bad))
+        assert row["checks_failed"] == ["positivity", "q1-specialization", "degree-bound"]
+        assert all(not r["checks_failed"] for r in rows if r is not row)
 
 
 ROOT = Path(__file__).resolve().parent.parent
