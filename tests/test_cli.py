@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qpositivity import altsum
 from qpositivity.altsum import CyclicParams
 from qpositivity.cli import main
+from qpositivity.qcombinat import InvalidRange
 from qpositivity.qpoly import IntPoly, NotDivisible
 
 
@@ -175,6 +176,27 @@ class TestScan:
         out = tmp_path / "missing-dir" / "report.jsonl"
         assert main(["scan", "C", "--max-sum", "1", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    # Bad grids are rejected before the first row, so F is made to reject
+    # the third instance; the two rows already streamed stay written.
+    def test_rows_before_a_rejected_instance_are_kept(self, monkeypatch, capsys):
+        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--checks", "positivity"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.splitlines()[:2]
+        evaluate, seen = altsum.F, []
+
+        def f_rejecting_the_third(params):
+            seen.append(params)
+            if len(seen) == 3:
+                raise InvalidRange("negative q-exponent")
+            return evaluate(params)
+
+        monkeypatch.setattr(altsum, "F", f_rejecting_the_third)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == expected
+        assert "negative q-exponent" in captured.err
 
     # No F instance is known to be non-polynomial, so F is made to fail at one
     # instance; the second case also gives it a q = 1 value that is not an integer.
