@@ -1,21 +1,24 @@
 """q-analog primitives: q-integers, q-factorials, q-Pochhammer products,
 Gaussian (q-binomial) coefficients, and the triangular exponent k(k-1)/2.
 
-Every ratio of q-factorials in the package is computed by q_ratio, the one
-place that decides how (multiply the numerator, then divide exactly), and
-its value at q = 1 by ratio_at_one.
+Every ratio of q-factorials in the package is computed by q_ratio, and its
+value at q = 1 by ratio_at_one.  q_ratio works on cyclotomic exponents:
+[N]! is the product of Phi_d^floor(N/d) over d >= 2, so a ratio is the
+product of Phi_d^e_d with e_d = sum floor(i/d) over num minus sum floor(j/d)
+over den, and it is a polynomial exactly when every e_d >= 0.  The Phi_d with
+e_d > 0 are multiplied shortest first; one small exact division, by the Phi_d
+with e_d < 0, happens only when some exponent is negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial, prod
-from operator import mul
 from typing import Any
 
-from .qpoly import IntPoly, ONE, ZERO
+from .qpoly import IntPoly, NotDivisible, ONE, ZERO
 
 
 class NegativeIndex(Exception):
@@ -47,17 +50,9 @@ def q_int(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
-_factorials: list[IntPoly] = [ONE]
-
-
 def q_factorial(n: int) -> IntPoly:
     """The q-factorial, the product of q_int(1)..q_int(n)."""
-    if n < 0:
-        raise NegativeIndex(f"q_factorial({n})")
-    while len(_factorials) <= n:
-        k = len(_factorials)
-        _factorials.append(_factorials[-1] * q_int(k))
-    return _factorials[n]
+    return q_ratio((n,), ())
 
 
 _pochhammers: list[IntPoly] = [ONE]
@@ -74,14 +69,44 @@ def q_poch(n: int) -> IntPoly:
     return _pochhammers[n]
 
 
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> IntPoly:
+    """The cyclotomic polynomial Phi_d for d >= 2: q_int(d) divided by the
+    Phi_e of the divisors 1 < e < d."""
+    return q_int(d).exact_div(_product([cyclotomic(e) for e in range(2, d) if d % e == 0]))
+
+
+def _product(factors: list[IntPoly]) -> IntPoly:
+    """The product of factors as a balanced tree: each round sorts them by
+    length and multiplies neighbours, so the long products are few and go to
+    the Kronecker multiply."""
+    while len(factors) > 1:
+        factors = sorted(factors, key=lambda f: len(f.coeffs))
+        products = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = products + factors[2 * len(products) :]
+    return factors[0] if factors else ONE
+
+
 def q_ratio(num: tuple[int, ...], den: tuple[int, ...], *times: IntPoly) -> IntPoly:
     """prod [i]! over num times the polynomials in times, divided exactly by
-    prod [j]! over den (NotDivisible when it does not divide); ZERO when
-    some j < 0, by the convention 1/[j]! = 0."""
+    prod [j]! over den (NotDivisible, naming the first Phi_d with a negative
+    exponent, when it does not divide); ZERO when some j < 0, by the
+    convention 1/[j]! = 0."""
     if any(j < 0 for j in den):
         return ZERO
-    top = reduce(mul, [*map(q_factorial, num), *times])
-    return top.exact_div(reduce(mul, map(q_factorial, den)))
+    if any(i < 0 for i in num):
+        raise NegativeIndex(f"q_ratio({num}, {den})")
+    top_index = max((*num, *den), default=0)
+    exponents = {d: sum(i // d for i in num) - sum(j // d for j in den) for d in range(2, top_index + 1)}
+    top = _product([*times, *(cyclotomic(d) for d, e in exponents.items() for _ in range(e))])
+    short = [(d, e) for d, e in exponents.items() if e < 0]
+    if not short:
+        return top
+    try:
+        return top.exact_div(_product([cyclotomic(d) for d, e in short for _ in range(-e)]))
+    except NotDivisible as exc:
+        d, e = short[0]
+        raise NotDivisible(exc.remainder, f"Φ_{d} exponent {e}") from None
 
 
 def ratio_at_one(num: tuple[int, ...], den: tuple[int, ...]) -> Fraction:

@@ -18,8 +18,8 @@ class NotDivisible(Exception):
     contract violation, never an approximation to be truncated away.
     """
 
-    def __init__(self, remainder: "IntPoly"):
-        super().__init__(f"exact division failed, remainder {remainder}")
+    def __init__(self, remainder: "IntPoly", cause: str = ""):
+        super().__init__(f"{cause}{': ' if cause else ''}exact division failed, remainder {remainder}")
         self.remainder = remainder
 
 

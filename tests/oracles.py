@@ -1,15 +1,37 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive (schoolbook convolution, sympy exact
-quotients) and shares no code with the package under test.
+quotients) and shares no code with the package under test, except
+factorial_division_ratio, which keeps the package's earlier route for ratios
+of q-factorials on its IntPoly arithmetic.
 """
 
 from __future__ import annotations
 
+from functools import cache, reduce
+from operator import mul
+
 import sympy
 from sympy import S, expand, exquo, prod, symbols
 
+from qpositivity.qpoly import IntPoly
+
 q = symbols("q")
+
+
+@cache
+def _int_poly_factorial(n: int) -> IntPoly:
+    return reduce(mul, (IntPoly((1,) * k) for k in range(1, n + 1)), IntPoly((1,)))
+
+
+def factorial_division_ratio(num, den, *times) -> IntPoly:
+    """prod [i]! over num times the polynomials in times, divided by prod [j]!
+    over den: the whole products multiplied out, then one schoolbook
+    exact_div (NotDivisible when it does not divide); zero when some j < 0."""
+    if any(j < 0 for j in den):
+        return IntPoly()
+    top = reduce(mul, [*map(_int_poly_factorial, num), *times], IntPoly((1,)))
+    return top.exact_div(reduce(mul, map(_int_poly_factorial, den), IntPoly((1,))))
 
 
 def naive_mul(a: list[int], b: list[int]) -> list[int]:
