@@ -10,11 +10,15 @@ with cyclic index wraparound and the prefactor
 
     pre(m, n) = [m1]![n1]![m_r + n_s + 1]! / ([m1 + m_r + 1]![n1 + n_s]!).
 
-The whole k-sum is accumulated first and then handed, with the factorials
-of the prefactor, to qcombinat.q_ratio for the one final exact division:
-individual terms are not generally polynomial, so a NotDivisible there is a
-meaningful global signal, not a per-term accident.  The q-multinomials of
-the product identity are q_ratio values too.
+Only the q-power depends on (a, b).  So for each (m, n) a small cached term
+table holds the nonzero signed k-terms (-1)^k cyclic_product(m, n, k), each
+already multiplied by the prefactor's Phi_d with positive cyclotomic
+exponent, and the division by its Phi_d with negative exponent, both from
+qcombinat.cyclotomic_split.  F then shifts and adds the 2 n1 + 1 terms and
+makes at most that one small exact division: individual terms are not
+generally polynomial, so a NotDivisible there is a meaningful global signal,
+not a per-term accident.  The q-multinomials of the product identity are
+q_ratio values.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -26,9 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .qcombinat import IdentityCheckResult, InvalidRange, choose2, gauss_binom, q_poch, q_ratio, ratio_at_one
+from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
+from .qcombinat import poly_product, q_poch, q_ratio, ratio_at_one
 from .qpoly import IntPoly, ONE, ZERO
 
 
@@ -65,9 +71,10 @@ class CyclicParams:
                 raise InvalidRange(f"need 0 <= a <= s={s}, got a={self.a}")
             if not 1 <= self.b <= r:
                 raise InvalidRange(f"need 1 <= b <= r={r}, got b={self.b}")
-        n1 = self.n[0]
-        if any(self.a * k * k + (2 * self.b - 1) * choose2(k) < 0 for k in range(-n1, n1 + 1)):
-            raise InvalidRange(f"a={self.a}, b={self.b} give a negative q-exponent for |k| <= {n1}")
+        # a k^2 + (2b-1) k(k-1)/2 vanishes at k = 0 and is convex or linear
+        # whenever it is >= 0 at k = +-1, where it is a and a + 2b - 1
+        if self.a < 0 or self.a + 2 * self.b < 1:
+            raise InvalidRange(f"a={self.a}, b={self.b} give a negative q-exponent for |k| <= {self.n[0]}")
 
     @property
     def r(self) -> int:
@@ -104,28 +111,37 @@ def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
     return out
 
 
-_f_cache: dict[tuple[tuple[int, ...], tuple[int, ...], int, int], IntPoly] = {}
+# Both caches are small on purpose: 64 values of F cover one (m, n) block of a
+# scan with the duals and deletion sub-instances it meets, and 256 term tables
+# also keep most deletion sub-instance tables of the r = s = 3 criterion-4
+# grid until they recur; larger caches mostly cost memory.
+@lru_cache(maxsize=256)
+def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[tuple[tuple[int, IntPoly], ...], Division]:
+    """The (a, b)-free part of F at (m, n): the nonzero (k, (-1)^k
+    cyclic_product(m, n, k) times the prefactor's Phi_d with e_d > 0), and
+    the division by its Phi_d with e_d < 0."""
+    n1 = n[0]
+    over, divide = cyclotomic_split((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]))
+    lift = poly_product(over)
+    terms = []
+    for k in range(-n1, n1 + 1):
+        term = cyclic_product(m, n, k)
+        if not term.is_zero():
+            term = term * lift
+            terms.append((k, -term if k % 2 else term))
+    return tuple(terms), divide
 
 
+@lru_cache(maxsize=64)
 def F(params: CyclicParams) -> IntPoly:
     """Evaluate the alternating sum; raises NotDivisible when the prefactored
     sum is not a polynomial at these parameters."""
-    key = (params.m, params.n, params.a, params.b)
-    cached = _f_cache.get(key)
-    if cached is not None:
-        return cached
-    m, n, a, b = params.m, params.n, params.a, params.b
-    n1 = n[0]
+    terms, divide = _term_table(params.m, params.n)
+    a, b = params.a, params.b
     total = ZERO
-    for k in range(-n1, n1 + 1):
-        term = cyclic_product(m, n, k)
-        if term.is_zero():
-            continue
-        term = term.shift(a * k * k + (2 * b - 1) * choose2(k))
-        total = total - term if k % 2 else total + term
-    result = q_ratio((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]), total)
-    _f_cache[key] = result
-    return result
+    for k, term in terms:
+        total = total + term.shift(a * k * k + (2 * b - 1) * choose2(k))
+    return divide(total)
 
 
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:

@@ -192,7 +192,7 @@ def _f_grid(args: argparse.Namespace) -> Iterator[CyclicParams]:
         raise InvalidRange("scan of F needs r, s >= 2 and param-max >= 1 and m-min >= 0")
     a_values = args.a if args.a is not None else range(args.s + 1)
     b_values = args.b if args.b is not None else range(1, args.r + 1)
-    for a, b in product(a_values, b_values):  # n_1 = param-max has the grid's widest range of k
+    for a, b in product(a_values, b_values):  # whether (a, b) is valid depends only on a, b, r and s
         CyclicParams((args.m_min,) * args.r, (args.param_max,) * args.s, a, b, args.unsafe_params)
     grid = product(
         product(range(args.m_min, args.param_max + 1), repeat=args.r),

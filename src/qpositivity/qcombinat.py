@@ -1,13 +1,16 @@
 """q-analog primitives: q-integers, q-factorials, q-Pochhammer products,
 Gaussian (q-binomial) coefficients, and the triangular exponent k(k-1)/2.
 
-Every ratio of q-factorials in the package is computed by q_ratio, and its
-value at q = 1 by ratio_at_one.  q_ratio works on cyclotomic exponents:
-[N]! is the product of Phi_d^floor(N/d) over d >= 2, so a ratio is the
-product of Phi_d^e_d with e_d = sum floor(i/d) over num minus sum floor(j/d)
-over den, and it is a polynomial exactly when every e_d >= 0.  The Phi_d with
-e_d > 0 are multiplied shortest first; one small exact division, by the Phi_d
-with e_d < 0, happens only when some exponent is negative.
+Every ratio of q-factorials in the package is computed from cyclotomic
+exponents, and its value at q = 1 by ratio_at_one.  [N]! is the product of
+Phi_d^floor(N/d) over d >= 2, so a ratio is the product of Phi_d^e_d with
+e_d = sum floor(i/d) over num minus sum floor(j/d) over den, and it is a
+polynomial exactly when every e_d >= 0.  cyclotomic_split does this
+bookkeeping once: it gives the Phi_d with e_d > 0, and a function making the
+one small exact division by the Phi_d with e_d < 0, which names the first
+negative exponent when it fails.  q_ratio multiplies the Phi_d with e_d > 0
+shortest first and divides; altsum's F applies the same split of its
+prefactor to a table of k-terms.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from .qpoly import IntPoly, NotDivisible, ONE, ZERO
 
@@ -73,10 +76,10 @@ def q_poch(n: int) -> IntPoly:
 def cyclotomic(d: int) -> IntPoly:
     """The cyclotomic polynomial Phi_d for d >= 2: q_int(d) divided by the
     Phi_e of the divisors 1 < e < d."""
-    return q_int(d).exact_div(_product([cyclotomic(e) for e in range(2, d) if d % e == 0]))
+    return q_int(d).exact_div(poly_product([cyclotomic(e) for e in range(2, d) if d % e == 0]))
 
 
-def _product(factors: list[IntPoly]) -> IntPoly:
+def poly_product(factors: Sequence[IntPoly]) -> IntPoly:
     """The product of factors as a balanced tree: each round sorts them by
     length and multiplies neighbours, so the long products are few and go to
     the Kronecker multiply."""
@@ -85,6 +88,36 @@ def _product(factors: list[IntPoly]) -> IntPoly:
         products = [a * b for a, b in zip(factors[::2], factors[1::2])]
         factors = products + factors[2 * len(products) :]
     return factors[0] if factors else ONE
+
+
+Division = Callable[[IntPoly], IntPoly]
+
+
+def cyclotomic_split(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[IntPoly, ...], Division]:
+    """prod [i]! over num divided by prod [j]! over den, all indices >= 0, as
+    prod Phi_d^e_d: each Phi_d with e_d > 0, e_d times, and the exact division
+    by the Phi_d^-e_d with e_d < 0, which raises NotDivisible naming the first
+    of them ("Phi_2 exponent -1") when it leaves a remainder."""
+    top_index = max((*num, *den), default=0)
+    exponents = {d: sum(i // d for i in num) - sum(j // d for j in den) for d in range(2, top_index + 1)}
+    over = tuple(cyclotomic(d) for d, e in exponents.items() for _ in range(e))
+    short = [(d, e) for d, e in exponents.items() if e < 0]
+    if not short:
+        return over, _unchanged
+    under = poly_product([cyclotomic(d) for d, e in short for _ in range(-e)])
+    shortfall = "Φ_{} exponent {}".format(*short[0])
+
+    def divide(poly: IntPoly) -> IntPoly:
+        try:
+            return poly.exact_div(under)
+        except NotDivisible as exc:
+            raise NotDivisible(exc.remainder, shortfall) from None
+
+    return over, divide
+
+
+def _unchanged(poly: IntPoly) -> IntPoly:
+    return poly
 
 
 def q_ratio(num: tuple[int, ...], den: tuple[int, ...], *times: IntPoly) -> IntPoly:
@@ -96,17 +129,8 @@ def q_ratio(num: tuple[int, ...], den: tuple[int, ...], *times: IntPoly) -> IntP
         return ZERO
     if any(i < 0 for i in num):
         raise NegativeIndex(f"q_ratio({num}, {den})")
-    top_index = max((*num, *den), default=0)
-    exponents = {d: sum(i // d for i in num) - sum(j // d for j in den) for d in range(2, top_index + 1)}
-    top = _product([*times, *(cyclotomic(d) for d, e in exponents.items() for _ in range(e))])
-    short = [(d, e) for d, e in exponents.items() if e < 0]
-    if not short:
-        return top
-    try:
-        return top.exact_div(_product([cyclotomic(d) for d, e in short for _ in range(-e)]))
-    except NotDivisible as exc:
-        d, e = short[0]
-        raise NotDivisible(exc.remainder, f"Φ_{d} exponent {e}") from None
+    over, divide = cyclotomic_split(num, den)
+    return divide(poly_product([*times, *over]))
 
 
 def ratio_at_one(num: tuple[int, ...], den: tuple[int, ...]) -> Fraction:

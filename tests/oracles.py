@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive (schoolbook convolution, sympy exact
-quotients) and shares no code with the package under test, except
-factorial_division_ratio, which keeps the package's earlier route for ratios
-of q-factorials on its IntPoly arithmetic.
+quotients, per-k scans) and shares no code with the package under test,
+except factorial_division_ratio, which keeps the package's earlier route for
+ratios of q-factorials on its IntPoly arithmetic, and f_k_sum, the package's
+earlier route for F on top of it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from operator import mul
 import sympy
 from sympy import S, expand, exquo, prod, symbols
 
+from qpositivity.altsum import cyclic_product
 from qpositivity.qpoly import IntPoly
 
 q = symbols("q")
@@ -32,6 +34,24 @@ def factorial_division_ratio(num, den, *times) -> IntPoly:
         return IntPoly()
     top = reduce(mul, [*map(_int_poly_factorial, num), *times], IntPoly((1,)))
     return top.exact_div(reduce(mul, map(_int_poly_factorial, den), IntPoly((1,))))
+
+
+def f_k_sum(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> IntPoly:
+    """F(m; n; a, b) the long way: the signed, shifted cyclic_product of every
+    k accumulated, then multiplied by the prefactor's numerator factorials
+    and divided by its denominator ones in one schoolbook exact_div."""
+    n1 = n[0]
+    total = IntPoly()
+    for k in range(-n1, n1 + 1):
+        term = cyclic_product(m, n, k).shift(a * k * k + (2 * b - 1) * (k * (k - 1) // 2))
+        total = total - term if k % 2 else total + term
+    return factorial_division_ratio((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]), total)
+
+
+def exponents_nonnegative(a: int, b: int, n1: int) -> bool:
+    """Whether every q-exponent a k^2 + (2b-1) k(k-1)/2 of F with |k| <= n1
+    is >= 0, scanned k by k."""
+    return all(a * k * k + (2 * b - 1) * (k * (k - 1) // 2) >= 0 for k in range(-n1, n1 + 1))
 
 
 def naive_mul(a: list[int], b: list[int]) -> list[int]:

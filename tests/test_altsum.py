@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from qpositivity import altsum
 from qpositivity.altsum import (
     CyclicParams,
     F,
@@ -13,10 +15,11 @@ from qpositivity.altsum import (
     reciprocity_check,
     value_at_one_reference,
 )
+from qpositivity.cli import main
 from qpositivity.qcombinat import InvalidRange, choose2, gauss_binom, q_factorial
-from qpositivity.qpoly import IntPoly, ZERO
+from qpositivity.qpoly import IntPoly, NotDivisible, ZERO
 
-from oracles import sym_alternating_sum, sym_coeffs
+from oracles import exponents_nonnegative, f_k_sum, sym_alternating_sum, sym_coeffs
 
 
 def P(*coeffs):
@@ -56,6 +59,20 @@ class TestCyclicParams:
         assert not p.in_theorem()
         with pytest.raises(InvalidRange):
             CyclicParams((1, 1), (0, 1), 5, 1, unsafe=True)
+
+    def test_exponent_check_matches_per_k_scan(self):
+        # the closed form a >= 0, a + 2b >= 1 against every k with |k| <= n_1
+        rejected = 0
+        for n1, a, b in product(range(1, 9), range(-8, 9), range(-8, 9)):
+            try:
+                CyclicParams((0, 0), (n1, 1), a, b, unsafe=True)
+            except InvalidRange as exc:
+                assert "negative q-exponent" in str(exc)
+                rejected += 1
+                assert not exponents_nonnegative(a, b, n1), (a, b, n1)
+            else:
+                assert exponents_nonnegative(a, b, n1), (a, b, n1)
+        assert 0 < rejected < 8 * 17 * 17
 
     def test_unsafe_keeps_exponents_nonnegative(self):
         # a k^2 + (2b - 1) k(k - 1)/2 is -1 at k = -1 for (a, b) = (0, 0),
@@ -140,6 +157,27 @@ class TestF:
             )
             den = q_factorial(m[0] + m[-1] + 1) * q_factorial(n1 + n[-1])
             assert F(params) == num.exact_div(den)
+
+    def test_equals_k_sum_oracle(self):
+        # every instance with r, s in {2, 3}, m entries 0..2, n entries 1..2
+        # and (a, b) in the window, against the k-sum then factorial division
+        count = 0
+        for r, s in product((2, 3), repeat=2):
+            for m, n in product(product(range(3), repeat=r), product(range(1, 3), repeat=s)):
+                for a, b in product(range(s + 1), range(1, r + 1)):
+                    assert F(CyclicParams(m, n, a, b)) == f_k_sum(m, n, a, b), (m, n, a, b)
+                    count += 1
+        assert count == 4356
+
+    @pytest.mark.parametrize(
+        "m,n,a,b",
+        [((1, 1), (1, 1), 3, 1), ((2, 0, 1), (2, 1), 1, 4), ((0, 2), (1, 2, 1), 4, 3), ((1, 2), (2, 2), 1, 0)],
+    )
+    def test_unsafe_equals_k_sum_oracle(self, m, n, a, b):
+        # outside the window (a = s + 1, b = r + 1, b = 0) yet past the exponent check
+        params = CyclicParams(m, n, a, b, unsafe=True)
+        assert not params.in_theorem()
+        assert F(params) == f_k_sum(m, n, a, b)
 
     def test_value_at_one_reference_agrees(self):
         for params in [
@@ -267,3 +305,42 @@ class TestPositivityGridSample:
                     poly = F(params)
                     assert poly.is_nonneg()
                     assert poly.degree is None or poly.degree <= delta(params.m, params.n)
+
+
+class TestTermTable:
+    def test_scan_builds_each_cyclic_product_once(self, monkeypatch, tmp_path):
+        for cache in _altsum_caches():
+            cache.cache_clear()
+        calls = {}
+        build = altsum.cyclic_product
+
+        def counted(m, n, k):
+            calls[m, n, k] = calls.get((m, n, k), 0) + 1
+            return build(m, n, k)
+
+        monkeypatch.setattr(altsum, "cyclic_product", counted)
+        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2",
+                "--checks", "positivity,reciprocity,degree-bound", "--out", str(tmp_path / "report.jsonl")]
+        assert main(argv) == 0
+        # one call per distinct (m, n, k): 2 n_1 + 1 for each (m, n), whatever (a, b)
+        pairs = list(product(product((1, 2), repeat=2), repeat=2))
+        assert sum(calls.values()) == sum(2 * n[0] + 1 for _, n in pairs) == 64
+        assert set(calls.values()) == {1}
+
+    def test_caches_are_bounded(self):
+        caches = _altsum_caches()
+        assert caches
+        assert all(cache.cache_info().maxsize is not None for cache in caches)
+        dicts = [name for name, value in vars(altsum).items() if isinstance(value, dict) and not name.startswith("__")]
+        assert not dicts
+
+    def test_failure_names_the_first_negative_exponent(self):
+        # the prefactor at m = n = (1, 1) has Phi_2 exponent -1; 1 is not a multiple of 1 + q
+        divide = altsum._term_table((1, 1), (1, 1))[1]
+        with pytest.raises(NotDivisible, match="Φ_2 exponent -1"):
+            divide(IntPoly((1,)))
+
+
+def _altsum_caches():
+    return [value for value in vars(altsum).values()
+            if hasattr(value, "cache_info") and value.__module__ == altsum.__name__]
