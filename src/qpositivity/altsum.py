@@ -14,11 +14,13 @@ Only the q-power depends on (a, b).  So for each (m, n) a small cached term
 table holds the nonzero signed k-terms (-1)^k cyclic_product(m, n, k), each
 already multiplied by the prefactor's Phi_d with positive cyclotomic
 exponent, and the division by its Phi_d with negative exponent, both from
-qcombinat.cyclotomic_split.  F then shifts and adds the 2 n1 + 1 terms and
-makes at most that one small exact division: individual terms are not
-generally polynomial, so a NotDivisible there is a meaningful global signal,
-not a per-term accident.  The q-multinomials of the product identity are
-q_ratio values.
+qcombinat.cyclotomic_split.  F then adds the 2 n1 + 1 shifted terms with
+qpoly.shifted_sum and makes at most that one small exact division:
+individual terms are not generally polynomial, so a NotDivisible there is a
+meaningful global signal, not a per-term accident.  The deletion check
+takes F at its sub-instances from a table of its own, so each is evaluated
+once in a scan.  The q-multinomials of the product identity are q_ratio
+values.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -28,17 +30,16 @@ recombination step that recurrence relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
 from .qcombinat import poly_product, q_poch, q_ratio, ratio_at_one
-from .qpoly import IntPoly, ONE, ZERO
+from .qpoly import IntPoly, ONE, ZERO, shifted_sum
 
 
-@dataclass(frozen=True)
 class CyclicParams:
     """Parameters (m-vector, n-vector, a, b) of the alternating sum F.
 
@@ -48,33 +49,55 @@ class CyclicParams:
     constraints always hold (n_1 = 0 has no defined summation convention
     and is rejected outright), and so does the nonnegativity of every
     exponent a k^2 + (2b-1) k(k-1)/2 with |k| <= n_1.
+
+    Instances are immutable, and equal and hashed by (m, n, a, b, unsafe).
     """
 
-    m: tuple[int, ...]
-    n: tuple[int, ...]
-    a: int
-    b: int
-    unsafe: bool = False
+    __slots__ = ("m", "n", "a", "b", "unsafe")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", tuple(self.m))
-        object.__setattr__(self, "n", tuple(self.n))
-        r, s = len(self.m), len(self.n)
+    def __init__(self, m: Iterable[int], n: Iterable[int], a: int, b: int, unsafe: bool = False) -> None:
+        m, n = tuple(m), tuple(n)
+        r, s = len(m), len(n)
         if r < 2 or s < 2:
             raise InvalidRange(f"need r >= 2 and s >= 2, got r={r}, s={s}")
-        if any(mi < 0 for mi in self.m):
-            raise InvalidRange(f"m entries must be >= 0, got {self.m}")
-        if any(nj < 1 for nj in self.n):
-            raise InvalidRange(f"n entries must be >= 1, got {self.n}")
-        if not self.unsafe:
-            if not 0 <= self.a <= s:
-                raise InvalidRange(f"need 0 <= a <= s={s}, got a={self.a}")
-            if not 1 <= self.b <= r:
-                raise InvalidRange(f"need 1 <= b <= r={r}, got b={self.b}")
+        if any(mi < 0 for mi in m):
+            raise InvalidRange(f"m entries must be >= 0, got {m}")
+        if any(nj < 1 for nj in n):
+            raise InvalidRange(f"n entries must be >= 1, got {n}")
+        if not unsafe:
+            if not 0 <= a <= s:
+                raise InvalidRange(f"need 0 <= a <= s={s}, got a={a}")
+            if not 1 <= b <= r:
+                raise InvalidRange(f"need 1 <= b <= r={r}, got b={b}")
         # a k^2 + (2b-1) k(k-1)/2 vanishes at k = 0 and is convex or linear
         # whenever it is >= 0 at k = +-1, where it is a and a + 2b - 1
-        if self.a < 0 or self.a + 2 * self.b < 1:
-            raise InvalidRange(f"a={self.a}, b={self.b} give a negative q-exponent for |k| <= {self.n[0]}")
+        if a < 0 or a + 2 * b < 1:
+            raise InvalidRange(f"a={a}, b={b} give a negative q-exponent for |k| <= {n[0]}")
+        for name, value in zip(self.__slots__, (m, n, a, b, unsafe)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CyclicParams is immutable, cannot assign {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CyclicParams is immutable, cannot delete {name}")
+
+    def _key(self) -> tuple:
+        return (self.m, self.n, self.a, self.b, self.unsafe)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "CyclicParams(m={!r}, n={!r}, a={!r}, b={!r}, unsafe={!r})".format(*self._key())
+
+    def __reduce__(self) -> tuple:
+        return (CyclicParams, self._key())
 
     @property
     def r(self) -> int:
@@ -111,11 +134,14 @@ def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
     return out
 
 
-# Both caches are small on purpose: 64 values of F cover one (m, n) block of a
-# scan with the duals and deletion sub-instances it meets, and 256 term tables
-# also keep most deletion sub-instance tables of the r = s = 3 criterion-4
-# grid until they recur; larger caches mostly cost memory.
-@lru_cache(maxsize=256)
+# Three bounded caches.  The term table is reused within one (m, n) block of
+# a scan and by the few deletion sub-instance tables that block meets, so 16
+# tables suffice.  F's 64 values cover a block's instances and their
+# reciprocity duals.  The deletion sub-instances ((ell, m3, ...), n, a, b-1)
+# recur only after a sweep over every m2, so they have their own table of
+# 4096 values, which holds all 2592 of the r = s = 3, param-max 3 grid and
+# keeps them from pushing the main instances out of F's cache.
+@lru_cache(maxsize=16)
 def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[tuple[tuple[int, IntPoly], ...], Division]:
     """The (a, b)-free part of F at (m, n): the nonzero (k, (-1)^k
     cyclic_product(m, n, k) times the prefactor's Phi_d with e_d > 0), and
@@ -132,16 +158,26 @@ def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[tuple[tuple[int
     return tuple(terms), divide
 
 
+def _evaluate(params: CyclicParams) -> IntPoly:
+    """The uncached body of F: the shifted k-terms of the table, summed and
+    divided."""
+    terms, divide = _term_table(params.m, params.n)
+    a, b = params.a, params.b
+    return divide(shifted_sum((a * k * k + (2 * b - 1) * choose2(k), term) for k, term in terms))
+
+
 @lru_cache(maxsize=64)
 def F(params: CyclicParams) -> IntPoly:
     """Evaluate the alternating sum; raises NotDivisible when the prefactored
     sum is not a polynomial at these parameters."""
-    terms, divide = _term_table(params.m, params.n)
-    a, b = params.a, params.b
-    total = ZERO
-    for k, term in terms:
-        total = total + term.shift(a * k * k + (2 * b - 1) * choose2(k))
-    return divide(total)
+    return _evaluate(params)
+
+
+@lru_cache(maxsize=4096)
+def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int, unsafe: bool) -> IntPoly:
+    """F at a deletion sub-instance; like F, an exception is raised anew on
+    every call, never cached."""
+    return _evaluate(CyclicParams(m, n, a, b, unsafe))
 
 
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:
@@ -165,8 +201,12 @@ def _int_binom(N: int, K: int) -> int:
 
 def value_at_one_reference(params: CyclicParams) -> Fraction:
     """Independent integer-only evaluation of F at q = 1 (exact rational;
-    integral whenever F is a polynomial)."""
-    m, n, _a, _b = params.m, params.n, params.a, params.b
+    integral whenever F is a polynomial).  It does not depend on (a, b)."""
+    return _value_at_one(params.m, params.n)
+
+
+@lru_cache(maxsize=16)
+def _value_at_one(m: tuple[int, ...], n: tuple[int, ...]) -> Fraction:
     r, s = len(m), len(n)
     n1 = n[0]
     total = 0
@@ -204,12 +244,10 @@ def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
     if m1 < 0 or m2 < 0:
         raise InvalidRange(f"product_identity_check({m1}, {m2}, {k})")
     lhs = gauss_binom(m1 + m2 + 1, m1 + k) * gauss_binom(m1 + m2 + 1, m2 + k)
-    rhs = ZERO
-    for t in range(m1 - k + 2):
-        term = q_ratio((m1 + m2 + 1,), (t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1))
-        if term.is_zero():
-            continue
-        rhs = rhs + term.shift(t * (t + 2 * k - 1))
+    rhs = shifted_sum(
+        (t * (t + 2 * k - 1), q_ratio((m1 + m2 + 1,), (t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1)))
+        for t in range(m1 - k + 2)
+    )
     diff = lhs - rhs
     info = {"m1": m1, "m2": m2, "k": k}
     return IdentityCheckResult("product", info, diff.is_zero(), diff)
@@ -224,15 +262,13 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
         raise InvalidRange(
             f"deletion_check requires r >= 3 and 2 <= b <= r, got r={params.r}, b={params.b}"
         )
-    m = params.m
+    m, n, a, b, unsafe = params.m, params.n, params.a, params.b, params.unsafe
     lhs = F(params)
-    rhs = ZERO
-    for ell in range(m[0] + 1):
+    terms = []
+    for ell in range(min(m[0], m[1]) + 1):  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
         coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
-        if coef.is_zero():
-            continue
-        sub = CyclicParams((ell,) + m[2:], params.n, params.a, params.b - 1, params.unsafe)
-        rhs = rhs + (coef * F(sub)).shift(ell * ell + ell)
+        terms.append((ell * ell + ell, coef * _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe)))
+    rhs = shifted_sum(terms)
     diff = lhs - rhs
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     return IdentityCheckResult("deletion", info, diff.is_zero(), diff)

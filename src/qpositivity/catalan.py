@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_binom, q_ratio, ratio_at_one
-from .qpoly import IntPoly, ZERO
+from .qpoly import IntPoly, ZERO, shifted_sum
 
 
 @lru_cache(maxsize=None)
@@ -63,13 +63,9 @@ def odd_super_catalan_value_at_one(m: int, n: int) -> Fraction:
 
 def _inner_sum(N: int, h: int, k: int) -> IntPoly:
     # sum over j of q^{k(N+k+1)+j(N+j+1)} * gauss_binom(h-2k-1, j-k)
-    total = ZERO
-    for j in range(k, h - k):
-        term = gauss_binom(h - 2 * k - 1, j - k)
-        if term.is_zero():
-            continue
-        total = total + term.shift(k * (N + k + 1) + j * (N + j + 1))
-    return total
+    return shifted_sum(
+        (k * (N + k + 1) + j * (N + j + 1), gauss_binom(h - 2 * k - 1, j - k)) for j in range(k, h - k)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -113,12 +109,13 @@ def double_expansion_check(N: int, h: int) -> IdentityCheckResult:
     if N < 0 or h < 1:
         raise InvalidRange(f"double_expansion_check({N}, {h}) requires N >= 0, h >= 1")
     lhs = gauss_binom(2 * N + 2 * h, h - 1)
-    rhs = ZERO
-    for k in range((h - 1) // 2 + 1):
-        for j in range(k, h - k):
-            term = gauss_binom(N + h, j) * gauss_binom(j, k) * gauss_binom(N + h - j, h - j - k - 1)
-            if term.is_zero():
-                continue
-            rhs = rhs + term.shift(k * (N + k + 1) + j * (N + j + 1))
+    rhs = shifted_sum(
+        (
+            k * (N + k + 1) + j * (N + j + 1),
+            gauss_binom(N + h, j) * gauss_binom(j, k) * gauss_binom(N + h - j, h - j - k - 1),
+        )
+        for k in range((h - 1) // 2 + 1)
+        for j in range(k, h - k)
+    )
     diff = lhs - rhs
     return IdentityCheckResult("double-expansion", {"N": N, "h": h}, diff.is_zero(), diff)

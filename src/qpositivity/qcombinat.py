@@ -15,7 +15,6 @@ prefactor to a table of k-terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -32,7 +31,6 @@ class InvalidRange(Exception):
     """Parameters outside an operation's stated domain."""
 
 
-@dataclass
 class IdentityCheckResult:
     """Outcome of verifying a named identity at one parameter point.
 
@@ -40,10 +38,22 @@ class IdentityCheckResult:
     check passed.
     """
 
-    identity: str
-    params: dict[str, Any]
-    passed: bool
-    difference: IntPoly
+    __slots__ = ("identity", "params", "passed", "difference")
+
+    def __init__(self, identity: str, params: dict[str, Any], passed: bool, difference: IntPoly) -> None:
+        self.identity = identity
+        self.params = params
+        self.passed = passed
+        self.difference = difference
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityCheckResult({fields})"
 
 
 def q_int(n: int) -> IntPoly:

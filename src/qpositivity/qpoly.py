@@ -3,11 +3,15 @@
 A polynomial is stored as a tuple of ints, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  All values are
 immutable and every operation is a pure function, so polynomials can be
-shared freely between threads.
+shared freely between threads.  A sum of shifted terms is built by
+shifted_sum, which adds every term into one list instead of making a new
+polynomial per term.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 
@@ -213,6 +217,23 @@ class IntPoly:
     @classmethod
     def from_coeff_strings(cls, items: Iterable[str]) -> "IntPoly":
         return cls(int(s) for s in items)
+
+
+def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
+    """The sum of q**e * poly over the (e, poly) pairs (e >= 0), added into
+    one list; a zero poly is skipped whatever its e."""
+    out: list[int] = []
+    for e, poly in terms:
+        cs = poly.coeffs
+        if not cs:
+            continue
+        if e < 0:
+            raise ValueError(f"negative shift {e}")
+        end = e + len(cs)
+        if end > len(out):
+            out.extend(repeat(0, end - len(out)))
+        out[e:end] = map(add, out[e:end], cs)
+    return IntPoly(out)
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:

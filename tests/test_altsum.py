@@ -1,4 +1,6 @@
+import pickle
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -30,6 +32,20 @@ class TestCyclicParams:
     def test_valid(self):
         p = CyclicParams((1, 2), (1, 1, 1), 3, 2)
         assert p.r == 2 and p.s == 3
+
+    def test_immutable_and_compared_by_value(self):
+        p = CyclicParams([1, 2], (1, 1), 1, 2)
+        same = CyclicParams((1, 2), [1, 1], 1, 2)
+        assert p.m == (1, 2) and p == same and hash(p) == hash(same)
+        assert p != CyclicParams((1, 2), (1, 1), 1, 2, unsafe=True)
+        assert p != CyclicParams((1, 2), (1, 1), 2, 2)
+        for name in ("m", "n", "a", "b", "unsafe", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0)
+        with pytest.raises(AttributeError):
+            del p.a
+        assert (p.m, p.n, p.a, p.b, p.unsafe) == ((1, 2), (1, 1), 1, 2, False)
+        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_vectors_too_short(self):
         with pytest.raises(InvalidRange):
@@ -333,6 +349,68 @@ class TestTermTable:
         assert all(cache.cache_info().maxsize is not None for cache in caches)
         dicts = [name for name, value in vars(altsum).items() if isinstance(value, dict) and not name.startswith("__")]
         assert not dicts
+
+    def test_scan_evaluates_each_instance_once(self, monkeypatch, tmp_path):
+        for cache in _altsum_caches():
+            cache.cache_clear()
+        calls = Counter()
+        body = altsum._evaluate
+
+        def counted(params):
+            calls[params.m, params.n, params.a, params.b] += 1
+            return body(params)
+
+        monkeypatch.setattr(altsum, "_evaluate", counted)
+        argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2",
+                "--checks", "deletion,reciprocity", "--out", str(tmp_path / "report.jsonl")]
+        assert main(argv) == 0
+        # the instances, whose reciprocity duals are instances too, and the
+        # deletion sub-instances ((ell, m3), n, a, b - 1) with ell <= min(m1, m2)
+        grid = list(product(product((1, 2), repeat=3), product((1, 2), repeat=2), range(3), range(1, 4)))
+        subs = {((ell, m[2]), n, a, b - 1) for m, n, a, b in grid if b >= 2 for ell in range(min(m[:2]) + 1)}
+        assert set(calls) == set(grid) | subs
+        assert len(calls) == 288 + 144
+        assert set(calls.values()) == {1}
+
+    def test_deletion_agrees_with_f_called_directly(self):
+        grid = [CyclicParams(m, n, a, b) for m, n in product(product((1, 2), repeat=3), product((1, 2), repeat=2))
+                for a in range(3) for b in (2, 3)]
+        unsafe = [CyclicParams(m, n, a, b, unsafe=True) for m, n, a, b in [
+            ((1, 2, 1), (1, 2), 3, 2),
+            ((2, 1, 1), (1, 1), 0, 4),
+            ((0, 1, 2), (2, 1), 1, 3),
+            ((2, 2, 0, 1), (1, 2), 4, 2),
+        ]]
+        for params in grid + unsafe:
+            m = params.m
+            rhs = ZERO
+            for ell in range(m[0] + 1):
+                coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
+                if not coef.is_zero():
+                    sub = F(CyclicParams((ell,) + m[2:], params.n, params.a, params.b - 1, params.unsafe))
+                    rhs = rhs + (coef * sub).shift(ell * ell + ell)
+            result = deletion_check(params)
+            assert F(params) - result.difference == rhs
+            assert result.passed == (F(params) == rhs)
+
+    def test_sub_instance_failure_is_not_cached(self, monkeypatch):
+        for cache in _altsum_caches():
+            cache.cache_clear()
+        failures = []
+        body = altsum._evaluate
+
+        def failing(params):
+            if params.r == 2:
+                failures.append(params)
+                raise NotDivisible(IntPoly((1,)))
+            return body(params)
+
+        monkeypatch.setattr(altsum, "_evaluate", failing)
+        params = CyclicParams((1, 1, 1), (1, 1), 1, 2)
+        for _ in range(3):
+            with pytest.raises(NotDivisible):
+                deletion_check(params)
+        assert failures == [CyclicParams((0, 1), (1, 1), 1, 1)] * 3
 
     def test_failure_names_the_first_negative_exponent(self):
         # the prefactor at m = n = (1, 1) has Phi_2 exponent -1; 1 is not a multiple of 1 + q

@@ -348,3 +348,12 @@ def test_exit_code_does_not_depend_on_optimize(argv, code, tmp_path):
         proc = subprocess.run([sys.executable, *flags, "-m", "qpositivity", *argv],
                               capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
         assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), (flags, proc.stderr)
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # importing dataclasses pulls in inspect, which costs start-up time and
+    # about a MiB of memory in every qpos process; -S keeps site's imports out
+    code = "import sys, qpositivity.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qpositivity.qpoly import DegreeExceedsBound, IntPoly, NotDivisible, ONE, ZERO
+from qpositivity.qpoly import DegreeExceedsBound, IntPoly, NotDivisible, ONE, ZERO, shifted_sum
 
 from oracles import naive_mul
 
@@ -12,6 +12,16 @@ from oracles import naive_mul
 # coefficients in [-3, 3].
 small_polys = st.builds(
     IntPoly, st.lists(st.integers(min_value=-3, max_value=3), max_size=5)
+)
+
+# (e, poly) terms for shifted_sum: shifts from 0 that overlap or leave gaps,
+# coefficients small, negative or far beyond a machine word, zero polys too.
+shifted_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.builds(IntPoly, st.lists(st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40)), max_size=6)),
+    ),
+    max_size=6,
 )
 
 
@@ -135,6 +145,34 @@ class TestRingProperties:
     def test_eval_at_one_is_homomorphism(self, a, b):
         assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
         assert (a + b).eval_at_one() == a.eval_at_one() + b.eval_at_one()
+
+
+class TestShiftedSum:
+    @given(shifted_terms)
+    def test_matches_repeated_add_and_shift(self, terms):
+        total = ZERO
+        for e, poly in terms:
+            total = total + poly.shift(e)
+        assert shifted_sum(terms).coeffs == total.coeffs
+        assert shifted_sum(iter(terms)).coeffs == total.coeffs
+
+    @given(shifted_terms)
+    def test_full_cancellation_is_zero(self, terms):
+        assert shifted_sum(terms + [(e, -poly) for e, poly in reversed(terms)]).coeffs == ()
+
+    def test_examples(self):
+        assert shifted_sum([]).coeffs == ()
+        assert shifted_sum([(0, P(1, 2))]) == P(1, 2)
+        assert shifted_sum([(0, P(1, 2)), (3, P(5))]) == P(1, 2, 0, 5)
+        assert shifted_sum([(1, P(1, 1)), (0, P(1, -1, 0, 4))]) == P(1, 0, 1, 4)
+        assert shifted_sum([(0, P(1, 0, 2)), (2, P(-2))]).coeffs == (1,)
+        assert shifted_sum([(2, ZERO), (0, ZERO)]).coeffs == ()
+
+    def test_negative_shift(self):
+        with pytest.raises(ValueError):
+            shifted_sum([(0, P(1)), (-1, P(1))])
+        # a zero term adds nothing, whatever its shift
+        assert shifted_sum([(-1, ZERO), (1, P(3))]) == P(0, 3)
 
 
 def test_kronecker_path_matches_naive_reference():
