@@ -8,7 +8,6 @@ from .qcombinat import (
     NegativeIndex,
     choose2,
     gauss_binom,
-    gauss_binom_pascal,
     q_factorial,
     q_int,
     q_poch,
@@ -50,7 +49,6 @@ __all__ = [
     "q_ratio",
     "ratio_at_one",
     "gauss_binom",
-    "gauss_binom_pascal",
     "choose2",
     "super_catalan_A",
     "ratio_B",

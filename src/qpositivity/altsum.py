@@ -239,14 +239,15 @@ def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
     """Check the expansion of gauss_binom(m1+m2+1, m1+k)*gauss_binom(m1+m2+1, m2+k)
     as a sum over t of the q-multinomials
     [m1+m2+1]!/([t]![t+2k-1]![m1-k-t+1]![m2-k-t+1]!), which vanish when an
-    index in the denominator goes negative.  Written with q-Pochhammer
+    index in the denominator goes negative, so t runs only over the window
+    1-2k <= t <= min(m1, m2)-k+1 of t >= 0.  Written with q-Pochhammer
     symbols the (1-q) powers cancel, since the indices sum to m1+m2+1."""
     if m1 < 0 or m2 < 0:
         raise InvalidRange(f"product_identity_check({m1}, {m2}, {k})")
     lhs = gauss_binom(m1 + m2 + 1, m1 + k) * gauss_binom(m1 + m2 + 1, m2 + k)
     rhs = shifted_sum(
         (t * (t + 2 * k - 1), q_ratio((m1 + m2 + 1,), (t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1)))
-        for t in range(m1 - k + 2)
+        for t in range(max(0, 1 - 2 * k), min(m1, m2) - k + 2)
     )
     diff = lhs - rhs
     info = {"m1": m1, "m2": m2, "k": k}

@@ -22,7 +22,6 @@ from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_b
 from .qpoly import IntPoly, ZERO, shifted_sum
 
 
-@lru_cache(maxsize=None)
 def super_catalan_A(m: int, n: int) -> IntPoly:
     """The q-super Catalan number [2m]![2n]!/([m+n]![m]![n]!)."""
     if m < 0 or n < 0:
@@ -35,7 +34,6 @@ def super_catalan_A_value_at_one(m: int, n: int) -> Fraction:
     return ratio_at_one((2 * m, 2 * n), (m + n, m, n))
 
 
-@lru_cache(maxsize=None)
 def ratio_B(n: int, m: int) -> IntPoly:
     """[2n]![m]!/([n]![2m]![n-m]!), defined for n >= m >= 0."""
     if m < 0 or n < m:
@@ -48,7 +46,6 @@ def ratio_B_value_at_one(n: int, m: int) -> Fraction:
     return ratio_at_one((2 * n, m), (n, 2 * m, n - m))
 
 
-@lru_cache(maxsize=None)
 def odd_super_catalan_direct(m: int, n: int) -> IntPoly:
     """The odd q-super Catalan number [2m+1]![2n]!/([m+n+1]![m]![n]!)."""
     if m < 0 or n < 0:
@@ -68,14 +65,12 @@ def _inner_sum(N: int, h: int, k: int) -> IntPoly:
     )
 
 
-@lru_cache(maxsize=None)
 def odd_super_catalan_recursive(m: int, n: int) -> IntPoly:
     """C(m, n) computed by recurrence rather than division.
 
     Diagonal entries are Gaussian coefficients; the m > n case descends via
-    C(k, n) with k <= (m-n-1)/2, the n > m case via C(m, k).  Memoized on
-    the raw pair (m, n); equality with odd_super_catalan_direct is the
-    correctness oracle.
+    C(k, n) with k <= (m-n-1)/2, the n > m case via C(m, k).  Equality with
+    odd_super_catalan_direct is the correctness oracle.
     """
     if m < 0 or n < 0:
         raise NegativeIndex(f"odd_super_catalan_recursive({m}, {n})")
@@ -88,7 +83,7 @@ def odd_super_catalan_recursive(m: int, n: int) -> IntPoly:
             outer = gauss_binom(h, 2 * k + 1)
             if outer.is_zero():
                 continue
-            total = total + odd_super_catalan_recursive(k, N) * outer * _inner_sum(N, h, k)
+            total = total + _sub_value(k, N) * outer * _inner_sum(N, h, k)
         return total
     N, h = m, n - m
     total = ZERO
@@ -96,8 +91,14 @@ def odd_super_catalan_recursive(m: int, n: int) -> IntPoly:
         outer = gauss_binom(h - 1, 2 * k)
         if outer.is_zero():
             continue
-        total = total + odd_super_catalan_recursive(N, k) * outer * _inner_sum(N, h, k)
+        total = total + _sub_value(N, k) * outer * _inner_sum(N, h, k)
     return total
+
+
+# The recurrence for C(m, n) only revisits C(x, y) with 2(x+y)+1 <= m+n, so
+# only those sub-values are kept, never a scanned row.  1024 of them are every
+# pair with x+y <= 43, all that a scan with --max-sum 88 revisits.
+_sub_value = lru_cache(maxsize=1024)(odd_super_catalan_recursive)
 
 
 def double_expansion_check(N: int, h: int) -> IdentityCheckResult:

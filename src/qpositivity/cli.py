@@ -100,7 +100,7 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpos",
@@ -190,8 +190,8 @@ def _f_grid(args: argparse.Namespace) -> Iterator[CyclicParams]:
         raise InvalidRange("scan of F needs --r, --s and --param-max")
     if args.r < 2 or args.s < 2 or args.param_max < 1 or args.m_min < 0:
         raise InvalidRange("scan of F needs r, s >= 2 and param-max >= 1 and m-min >= 0")
-    a_values = args.a if args.a is not None else range(args.s + 1)
-    b_values = args.b if args.b is not None else range(1, args.r + 1)
+    a_values = dict.fromkeys(args.a) if args.a is not None else range(args.s + 1)
+    b_values = dict.fromkeys(args.b) if args.b is not None else range(1, args.r + 1)
     for a, b in product(a_values, b_values):  # whether (a, b) is valid depends only on a, b, r and s
         CyclicParams((args.m_min,) * args.r, (args.param_max,) * args.s, a, b, args.unsafe_params)
     grid = product(
@@ -281,7 +281,7 @@ def _write(rows: Iterator[dict[str, Any]], fmt: str, stream: TextIO) -> tuple[in
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    checks = [c for c in args.checks.split(",") if c]
+    checks = list(dict.fromkeys(c for c in args.checks.split(",") if c))
     if not checks:
         raise InvalidRange("no checks requested")
     unknown = [c for c in checks if c not in _CHECKS or args.family not in _CHECKS[c][0]]

@@ -3,20 +3,21 @@
 Everything here is deliberately naive (schoolbook convolution, sympy exact
 quotients, per-k scans) and shares no code with the package under test,
 except factorial_division_ratio, which keeps the package's earlier route for
-ratios of q-factorials on its IntPoly arithmetic, and f_k_sum, the package's
-earlier route for F on top of it.
+ratios of q-factorials on its IntPoly arithmetic, f_k_sum, the package's
+earlier route for F on top of it, and gauss_binom_pascal, the Gaussian
+coefficient by the q-Pascal recurrence on IntPoly addition and shifts.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import mul
 
 import sympy
 from sympy import S, expand, exquo, prod, symbols
 
 from qpositivity.altsum import cyclic_product
-from qpositivity.qpoly import IntPoly
+from qpositivity.qpoly import IntPoly, ONE, ZERO
 
 q = symbols("q")
 
@@ -46,6 +47,17 @@ def f_k_sum(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> IntPoly:
         term = cyclic_product(m, n, k).shift(a * k * k + (2 * b - 1) * (k * (k - 1) // 2))
         total = total - term if k % 2 else total + term
     return factorial_division_ratio((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]), total)
+
+
+@lru_cache(maxsize=None)
+def gauss_binom_pascal(N: int, K: int) -> IntPoly:
+    """Second, independent route to the Gaussian coefficient via the
+    q-Pascal recurrence; used to cross-check gauss_binom."""
+    if K < 0 or N < 0 or K > N:
+        return ZERO
+    if K == 0 or K == N:
+        return ONE
+    return gauss_binom_pascal(N - 1, K - 1) + gauss_binom_pascal(N - 1, K).shift(K)
 
 
 def exponents_nonnegative(a: int, b: int, n1: int) -> bool:

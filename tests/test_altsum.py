@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qpositivity import altsum
+from qpositivity import altsum, catalan, cli, qcombinat
 from qpositivity.altsum import (
     CyclicParams,
     F,
@@ -257,6 +257,25 @@ class TestProductIdentity:
         with pytest.raises(InvalidRange):
             product_identity_check(-1, 0, 0)
 
+    def test_sums_only_the_nonzero_terms(self, monkeypatch):
+        calls = []
+        ratio = altsum.q_ratio
+
+        def counted(num, den):
+            calls.append(den)
+            return ratio(num, den)
+
+        monkeypatch.setattr(altsum, "q_ratio", counted)
+        for m1, m2, k in product(range(4), range(4), range(-6, 7)):
+            calls.clear()
+            assert product_identity_check(m1, m2, k).passed
+            # one q-multinomial for each t whose denominator indices are all >= 0
+            dens = [(t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1) for t in range(m1 + abs(k) + 2)]
+            assert calls == [den for den in dens if min(den) >= 0]
+        calls.clear()
+        assert product_identity_check(1, 1, -100_000_000).passed
+        assert calls == []
+
 
 class TestDeletion:
     def test_m1_zero_single_term(self):
@@ -344,11 +363,13 @@ class TestTermTable:
         assert set(calls.values()) == {1}
 
     def test_caches_are_bounded(self):
-        caches = _altsum_caches()
-        assert caches
-        assert all(cache.cache_info().maxsize is not None for cache in caches)
-        dicts = [name for name, value in vars(altsum).items() if isinstance(value, dict) and not name.startswith("__")]
-        assert not dicts
+        for module in (qcombinat, catalan, altsum, cli):
+            caches = _caches(module)
+            assert caches
+            assert all(cache.cache_info().maxsize is not None for cache in caches)
+        for module in (qcombinat, catalan, altsum):
+            dicts = [name for name, value in vars(module).items() if isinstance(value, dict) and not name.startswith("__")]
+            assert not dicts
 
     def test_scan_evaluates_each_instance_once(self, monkeypatch, tmp_path):
         for cache in _altsum_caches():
@@ -419,6 +440,10 @@ class TestTermTable:
             divide(IntPoly((1,)))
 
 
+def _caches(module):
+    return [value for value in vars(module).values()
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__]
+
+
 def _altsum_caches():
-    return [value for value in vars(altsum).values()
-            if hasattr(value, "cache_info") and value.__module__ == altsum.__name__]
+    return _caches(altsum)

@@ -1,5 +1,6 @@
 import pytest
 
+from qpositivity import catalan
 from qpositivity.catalan import (
     double_expansion_check,
     odd_super_catalan_direct,
@@ -10,6 +11,7 @@ from qpositivity.catalan import (
     super_catalan_A,
     super_catalan_A_value_at_one,
 )
+from qpositivity.cli import main
 from qpositivity.qcombinat import InvalidRange, NegativeIndex, gauss_binom
 from qpositivity.qpoly import IntPoly, ONE
 
@@ -112,6 +114,24 @@ class TestOddSuperCatalanRecursive:
         for m in range(11):
             for n in range(11 - m):
                 assert odd_super_catalan_recursive(m, n) == odd_super_catalan_direct(m, n)
+
+    def test_scan_keeps_only_the_sub_values(self, monkeypatch, tmp_path):
+        memo = catalan._sub_value
+        caches = [v for v in vars(catalan).values() if hasattr(v, "cache_info") and v.__module__ == catalan.__name__]
+        assert caches == [memo]
+        memo.cache_clear()
+        keys = set()
+
+        def recorded(m, n):
+            keys.add((m, n))
+            return memo(m, n)
+
+        monkeypatch.setattr(catalan, "_sub_value", recorded)
+        argv = ["scan", "C", "--max-sum", "16", "--checks", "oracle-equivalence", "--out", str(tmp_path / "c.jsonl")]
+        assert main(argv) == 0
+        # the recurrence for C(m, n) revisits C(x, y) only when 2(x+y)+1 <= m+n
+        assert keys and all(2 * (m + n) + 1 <= 16 for m, n in keys)
+        assert memo.cache_info().currsize == len(keys)
 
 
 class TestDoubleExpansion:

@@ -146,6 +146,18 @@ class TestScan:
         assert main(argv + [str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_repeated_values_and_checks_scanned_once(self, capsys):
+        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2", "--b", "1", "--checks", "positivity"]
+        assert main(argv + ["--a", "0"]) == 0
+        once = capsys.readouterr().out
+        assert len(once.splitlines()) == 16
+        assert main(argv + ["--a", "0,0", "--b", "1,1"]) == 0
+        assert capsys.readouterr().out == once
+        assert main(["scan", "C", "--max-sum", "2", "--checks", "positivity,q1-specialization,positivity"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == 6
+        assert all(row["checks_passed"] == ["positivity", "q1-specialization"] for row in rows)
+
     def test_inapplicable_check_rejected(self, capsys):
         assert main(["scan", "A", "--max-sum", "2", "--checks", "oracle-equivalence"]) == 2
 

@@ -14,7 +14,6 @@ from qpositivity.qcombinat import (
     choose2,
     cyclotomic,
     gauss_binom,
-    gauss_binom_pascal,
     q_factorial,
     q_int,
     q_poch,
@@ -23,7 +22,7 @@ from qpositivity.qcombinat import (
 )
 from qpositivity.qpoly import IntPoly, NotDivisible, ONE, ZERO
 
-from oracles import factorial_division_ratio, naive_mul, q, sym_coeffs, sym_factorial_ratio
+from oracles import factorial_division_ratio, gauss_binom_pascal, naive_mul, q, sym_coeffs, sym_factorial_ratio
 
 
 def P(*coeffs):
