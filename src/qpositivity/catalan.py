@@ -96,7 +96,7 @@ def odd_super_catalan_recursive(m: int, n: int) -> IntPoly:
 
 
 # The recurrence for C(m, n) only revisits C(x, y) with 2(x+y)+1 <= m+n, so
-# only those sub-values are kept, never a scanned row.  1024 of them are every
+# only those sub-values are kept, never a scanned row.  1024 entries hold every
 # pair with x+y <= 43, all that a scan with --max-sum 88 revisits.
 _sub_value = lru_cache(maxsize=1024)(odd_super_catalan_recursive)
 
