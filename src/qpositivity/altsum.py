@@ -36,8 +36,8 @@ from math import comb
 from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
-from .qcombinat import poly_product, q_poch, q_ratio, ratio_at_one
-from .qpoly import IntPoly, ONE, ZERO, shifted_sum
+from .qcombinat import q_poch, q_ratio, ratio_at_one
+from .qpoly import IntPoly, ONE, ZERO, product, shifted_sum
 
 
 class CyclicParams:
@@ -148,7 +148,7 @@ def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[tuple[tuple[int
     the division by its Phi_d with e_d < 0."""
     n1 = n[0]
     over, divide = cyclotomic_split((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]))
-    lift = poly_product(over)
+    lift = product(over)
     terms = []
     for k in range(-n1, n1 + 1):
         term = cyclic_product(m, n, k)
@@ -231,8 +231,10 @@ def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     if q.degree is not None and q.degree > bound:
         return IdentityCheckResult("reciprocity", info, False, q)
-    diff = q.reverse_to_degree(bound) - p
-    return IdentityCheckResult("reciprocity", info, diff.is_zero(), diff)
+    reversed_q = q.reverse_to_degree(bound)
+    if reversed_q == p:
+        return IdentityCheckResult("reciprocity", info, True, ZERO)
+    return IdentityCheckResult("reciprocity", info, False, reversed_q - p)
 
 
 def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
@@ -270,9 +272,10 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
         coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
         terms.append((ell * ell + ell, coef * _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe)))
     rhs = shifted_sum(terms)
-    diff = lhs - rhs
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
-    return IdentityCheckResult("deletion", info, diff.is_zero(), diff)
+    if lhs == rhs:
+        return IdentityCheckResult("deletion", info, True, ZERO)
+    return IdentityCheckResult("deletion", info, False, lhs - rhs)
 
 
 def recombine_check(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_binom, q_ratio, ratio_at_one
-from .qpoly import IntPoly, ZERO, shifted_sum
+from .qpoly import IntPoly, ZERO, product, shifted_sum
 
 
 def super_catalan_A(m: int, n: int) -> IntPoly:
@@ -83,7 +83,7 @@ def odd_super_catalan_recursive(m: int, n: int) -> IntPoly:
             outer = gauss_binom(h, 2 * k + 1)
             if outer.is_zero():
                 continue
-            total = total + _sub_value(k, N) * outer * _inner_sum(N, h, k)
+            total = total + product((_sub_value(k, N), outer, _inner_sum(N, h, k)))
         return total
     N, h = m, n - m
     total = ZERO
@@ -91,7 +91,7 @@ def odd_super_catalan_recursive(m: int, n: int) -> IntPoly:
         outer = gauss_binom(h - 1, 2 * k)
         if outer.is_zero():
             continue
-        total = total + _sub_value(N, k) * outer * _inner_sum(N, h, k)
+        total = total + product((_sub_value(N, k), outer, _inner_sum(N, h, k)))
     return total
 
 

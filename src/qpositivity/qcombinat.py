@@ -9,7 +9,7 @@ polynomial exactly when every e_d >= 0.  cyclotomic_split does this
 bookkeeping once: it gives the Phi_d with e_d > 0, and a function making the
 one small exact division by the Phi_d with e_d < 0, which names the first
 negative exponent when it fails.  q_ratio multiplies the Phi_d with e_d > 0
-shortest first and divides; altsum's F applies the same split of its
+by qpoly.product and divides; altsum's F applies the same split of its
 prefactor to a table of k-terms.
 """
 
@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from .qpoly import IntPoly, NotDivisible, ONE, ZERO
+from .qpoly import IntPoly, NotDivisible, ZERO, product
 
 
 class NegativeIndex(Exception):
@@ -68,18 +68,14 @@ def q_factorial(n: int) -> IntPoly:
     return q_ratio((n,), ())
 
 
-_pochhammers: list[IntPoly] = [ONE]
-
-
+# recombine_check's indices are sums of two or three of its parameters, so
+# 64 values hold all of them for parameters up to about 20
+@lru_cache(maxsize=64)
 def q_poch(n: int) -> IntPoly:
     """The q-Pochhammer product (q;q)_n = (1-q)(1-q^2)...(1-q^n)."""
     if n < 0:
         raise NegativeIndex(f"q_poch({n})")
-    while len(_pochhammers) <= n:
-        k = len(_pochhammers)
-        factor = IntPoly((1,) + (0,) * (k - 1) + (-1,))
-        _pochhammers.append(_pochhammers[-1] * factor)
-    return _pochhammers[n]
+    return product(IntPoly((1,) + (0,) * (k - 1) + (-1,)) for k in range(1, n + 1))
 
 
 # a q-factorial ratio with indices up to N uses Phi_2..Phi_N, so 256 of them
@@ -88,18 +84,7 @@ def q_poch(n: int) -> IntPoly:
 def cyclotomic(d: int) -> IntPoly:
     """The cyclotomic polynomial Phi_d for d >= 2: q_int(d) divided by the
     Phi_e of the divisors 1 < e < d."""
-    return q_int(d).exact_div(poly_product([cyclotomic(e) for e in range(2, d) if d % e == 0]))
-
-
-def poly_product(factors: Sequence[IntPoly]) -> IntPoly:
-    """The product of factors as a balanced tree: each round sorts them by
-    length and multiplies neighbours, so the long products are few and go to
-    the Kronecker multiply."""
-    while len(factors) > 1:
-        factors = sorted(factors, key=lambda f: len(f.coeffs))
-        products = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        factors = products + factors[2 * len(products) :]
-    return factors[0] if factors else ONE
+    return q_int(d).exact_div(product(cyclotomic(e) for e in range(2, d) if d % e == 0))
 
 
 Division = Callable[[IntPoly], IntPoly]
@@ -116,7 +101,7 @@ def cyclotomic_split(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[
     short = [(d, e) for d, e in exponents.items() if e < 0]
     if not short:
         return over, _unchanged
-    under = poly_product([cyclotomic(d) for d, e in short for _ in range(-e)])
+    under = product(cyclotomic(d) for d, e in short for _ in range(-e))
     shortfall = "Φ_{} exponent {}".format(*short[0])
 
     def divide(poly: IntPoly) -> IntPoly:
@@ -142,7 +127,7 @@ def q_ratio(num: tuple[int, ...], den: tuple[int, ...], *times: IntPoly) -> IntP
     if any(i < 0 for i in num):
         raise NegativeIndex(f"q_ratio({num}, {den})")
     over, divide = cyclotomic_split(num, den)
-    return divide(poly_product([*times, *over]))
+    return divide(product((*times, *over)))
 
 
 def ratio_at_one(num: tuple[int, ...], den: tuple[int, ...]) -> Fraction:

@@ -6,13 +6,28 @@ immutable and every operation is a pure function, so polynomials can be
 shared freely between threads.  A sum of shifted terms is built by
 shifted_sum, which adds every term into one list instead of making a new
 polynomial per term.
+
+Long products use Kronecker substitution: a polynomial is packed into the
+integer that is its value at q = 256**width, one width-byte slot per
+coefficient, through int.to_bytes and int.from_bytes, so packing and
+unpacking take linear time, and CPython's subquadratic bignum multiply does
+the convolution.  A polynomial with a negative coefficient is packed with
+every slot raised by half a slot, which is then subtracted exactly, and a
+signed result is unpacked the same way, so a product costs one pack per
+operand, one bignum multiply and one unpack (Harvey, J. Symbolic Comput. 44,
+2009).  `*` takes this path when both operands have more than
+_SCHOOLBOOK_CUTOFF coefficients.  product(factors) packs every factor once,
+at a width that holds the product of the factors' L1 norms, multiplies the
+packed integers as a balanced tree and unpacks once; a result of at most
+4 * _SCHOOLBOOK_CUTOFF coefficients is built by `*` instead.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from math import prod
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class NotDivisible(Exception):
@@ -31,24 +46,41 @@ class DegreeExceedsBound(Exception):
     """The polynomial's degree is larger than the requested reversal bound."""
 
 
-# Below this operand size schoolbook convolution beats the packing overhead.
-_SCHOOLBOOK_CUTOFF = 32
+# Below this operand length schoolbook convolution beats packing; a product
+# of many factors whose result has at most 4 * _SCHOOLBOOK_CUTOFF
+# coefficients is built by `*`, pair by pair.
+_SCHOOLBOOK_CUTOFF = 16
 
 
-def _pack(coeffs: Sequence[int], nbits: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << nbits) | c
-    return v
+def _slot_bytes(bound: int, signed: bool) -> int:
+    """Bytes per slot for values of absolute value at most bound: below half
+    a slot when signed, below a whole slot otherwise."""
+    return (bound.bit_length() + signed + 7) // 8
 
 
-def _unpack(v: int, nbits: int, count: int) -> list[int]:
-    mask = (1 << nbits) - 1
-    out = []
-    for _ in range(count):
-        out.append(v & mask)
-        v >>= nbits
-    return out
+def _halves(width: int, count: int) -> int:
+    """Half a slot, 2**(8 * width - 1), in each of count slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
+    """The value at q = 256**width.  Signed coefficients are raised by half a
+    slot to fit an unsigned slot, and the raise is subtracted again."""
+    if not signed:
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+    half = 1 << (8 * width - 1)
+    raised = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(raised, "little") - _halves(width, len(coeffs))
+
+
+def _unpack(v: int, width: int, count: int, signed: bool) -> list[int]:
+    """The count coefficients of the polynomial whose value at 256**width is v."""
+    if not signed:
+        data = v.to_bytes(width * count, "little")
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * count, width)]
+    data = (v + _halves(width, count)).to_bytes(width * count, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
 class IntPoly:
@@ -237,22 +269,48 @@ def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    # Pack each sign part into one big integer so CPython's subquadratic
+    # Pack each operand into one big integer so CPython's subquadratic
     # bignum multiplication does the convolution.
-    bound = 2 * max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    nbits = bound.bit_length() + 1
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    pa, na = _pack(ap, nbits), _pack(an, nbits)
-    pb, nb = _pack(bp, nbits), _pack(bn, nbits)
-    pos = pa * pb + na * nb
-    neg = pa * nb + na * pb
-    count = len(a) + len(b) - 1
-    pc = _unpack(pos, nbits, count)
-    nc = _unpack(neg, nbits, count)
-    return IntPoly(p - n for p, n in zip(pc, nc))
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    a_signed, b_signed = min(a) < 0, min(b) < 0
+    signed = a_signed or b_signed
+    width = _slot_bytes(bound, signed)
+    v = _pack(a, width, a_signed) * _pack(b, width, b_signed)
+    return IntPoly(_unpack(v, width, len(a) + len(b) - 1, signed))
+
+
+def product(factors: Iterable[IntPoly]) -> IntPoly:
+    """The product of factors; ONE for none.
+
+    A result of at most 4 * _SCHOOLBOOK_CUTOFF coefficients is built by `*`
+    as a balanced tree.  A longer one packs every factor once, at a slot
+    width holding the product of the factors' L1 norms, which bounds every
+    coefficient of the result, multiplies the packed integers as the same
+    tree and unpacks once."""
+    factors = list(factors)
+    if len(factors) < 2:
+        return factors[0] if factors else ONE
+    polys = [f.coeffs for f in factors]
+    if not all(polys):
+        return ZERO
+    count = sum(map(len, polys)) - len(polys) + 1
+    if count <= 4 * _SCHOOLBOOK_CUTOFF:
+        return _tree_product(factors, lambda f: len(f.coeffs))
+    signs = [min(p) < 0 for p in polys]
+    signed = any(signs)
+    width = _slot_bytes(prod(sum(map(abs, p)) for p in polys), signed)
+    packed = [_pack(p, width, p_signed) for p, p_signed in zip(polys, signs)]
+    return IntPoly(_unpack(_tree_product(packed, int.bit_length), width, count, signed))
+
+
+def _tree_product(items: list, size: Callable) -> Any:
+    # each round sorts by size and multiplies neighbours, so the few long
+    # products come last
+    while len(items) > 1:
+        items = sorted(items, key=size)
+        pairs = [a * b for a, b in zip(items[::2], items[1::2])]
+        items = pairs + items[2 * len(pairs) :]
+    return items[0]
 
 
 ZERO = IntPoly()

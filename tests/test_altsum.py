@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qpositivity import altsum, catalan, cli, qcombinat
+from qpositivity import altsum, catalan, cli, qcombinat, qpoly
 from qpositivity.altsum import (
     CyclicParams,
     F,
@@ -162,7 +162,7 @@ class TestF:
             n1 = n[0]
             total = ZERO
             for k in range(-n1, n1 + 1):
-                sign = IntPoly([(-1) ** k])
+                sign = IntPoly([-1 if k % 2 else 1])
                 e = a * k * k + (2 * b - 1) * choose2(k)
                 total = total + sign * cyclic_product(m, n, k).shift(e)
             num = (
@@ -367,9 +367,13 @@ class TestTermTable:
             caches = _caches(module)
             assert caches
             assert all(cache.cache_info().maxsize is not None for cache in caches)
-        for module in (qcombinat, catalan, altsum):
-            dicts = [name for name, value in vars(module).items() if isinstance(value, dict) and not name.startswith("__")]
-            assert not dicts
+        for module in (qpoly, qcombinat, catalan, altsum):
+            tables = [
+                name
+                for name, value in vars(module).items()
+                if isinstance(value, (dict, list)) and not name.startswith("__")
+            ]
+            assert not tables
 
     def test_scan_evaluates_each_instance_once(self, monkeypatch, tmp_path):
         for cache in _altsum_caches():

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -276,6 +277,17 @@ def test_golden_report_on_stdout(capsys):
     argv, code = GOLDEN["scan_C_max-sum4"]
     assert main(argv + ["--format", "json"]) == code
     assert capsys.readouterr().out == (GOLDEN_DIR / "scan_C_max-sum4.json").read_text()
+
+
+def test_scan_c_digest(tmp_path):
+    # large enough for the packed-integer products, which the golden reports
+    # are too small to reach
+    out = tmp_path / "c.jsonl"
+    argv = ["scan", "C", "--max-sum", "22", "--checks", "positivity,oracle-equivalence,q1-specialization"]
+    assert main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f0cd48c169b201b4af8c0bddacda10b90a7481975545dd7856c218dc8d7b9dcc"
+    )
 
 
 # -- the exit-code contract on arbitrary argv ----------------------------------

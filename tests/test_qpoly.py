@@ -2,9 +2,9 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qpositivity.qpoly import DegreeExceedsBound, IntPoly, NotDivisible, ONE, ZERO, shifted_sum
+from qpositivity.qpoly import _SCHOOLBOOK_CUTOFF, DegreeExceedsBound, IntPoly, NotDivisible, ONE, ZERO, product, shifted_sum
 
 from oracles import naive_mul
 
@@ -23,6 +23,26 @@ shifted_terms = st.lists(
     ),
     max_size=6,
 )
+
+
+# Kernel coefficients: small, far beyond a machine word, and at the edges of
+# byte slots, +-2**(8j-1) and +-(2**(8j)-1) with their neighbours.
+slot_edges = st.builds(
+    lambda j, edge, step, sign: sign * (edge(j) + step),
+    st.integers(1, 6),
+    st.sampled_from([lambda j: 1 << (8 * j - 1), lambda j: (1 << 8 * j) - 1]),
+    st.integers(-1, 1),
+    st.sampled_from([1, -1]),
+)
+kernel_coeffs = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40), slot_edges)
+
+
+@st.composite
+def kernel_operands(draw, max_len):
+    """A coefficient list of 1..max_len entries, all >= 0 about half the time."""
+    n = draw(st.integers(1, max_len))
+    coeffs = draw(st.lists(kernel_coeffs, min_size=n, max_size=n))
+    return list(map(abs, coeffs)) if draw(st.booleans()) else coeffs
 
 
 def P(*coeffs):
@@ -182,6 +202,45 @@ def test_kronecker_path_matches_naive_reference():
         a = [rng.randint(-10**9, 10**9) for _ in range(120)]
         b = [rng.randint(-10**9, 10**9) for _ in range(97)]
         assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(naive_mul(a, b))
+
+
+class TestKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_operands(2 * _SCHOOLBOOK_CUTOFF + 4), kernel_operands(2 * _SCHOOLBOOK_CUTOFF + 4))
+    def test_mul_matches_naive_reference_across_the_cutoff(self, a, b):
+        assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(naive_mul(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(kernel_operands(40), max_size=6), st.booleans())
+    def test_product_matches_naive_chain(self, factors, with_zero):
+        polys = [IntPoly(f) for f in factors]
+        if with_zero:
+            polys.insert(len(polys) // 2, ZERO)
+        expected = [1]
+        for poly in polys:
+            expected = naive_mul(expected, list(poly.coeffs))
+        assert product(polys).coeffs == tuple(expected)
+        assert product(iter(polys)) == product(polys)
+
+    def test_product_examples(self):
+        long = IntPoly(range(1, 50))
+        assert product([]) is ONE
+        assert product([long]) is long
+        assert product([ZERO]) == ZERO
+        assert product([long, ZERO, long]) == ZERO
+        assert product([P(1, 1), P(1, -1)]) == P(1, 0, -1)
+
+    def test_product_on_both_sides_of_the_short_threshold(self):
+        rng = random.Random(20261018)
+        for length in (4 * _SCHOOLBOOK_CUTOFF, 4 * _SCHOOLBOOK_CUTOFF + 1, 6 * _SCHOOLBOOK_CUTOFF):
+            for lo in (0, -(10**12)):
+                sizes = [length // 4 + 1] * 3 + [length - 3 * (length // 4)]
+                factors = [IntPoly([rng.randint(lo, 10**12) for _ in range(n - 1)] + [1]) for n in sizes]
+                assert len(product(factors).coeffs) == length
+                expected = [1]
+                for f in factors:
+                    expected = naive_mul(expected, list(f.coeffs))
+                assert product(factors).coeffs == tuple(expected)
 
 
 class TestSerialization:
