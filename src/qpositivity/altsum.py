@@ -231,10 +231,8 @@ def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     if q.degree is not None and q.degree > bound:
         return IdentityCheckResult("reciprocity", info, False, q)
-    reversed_q = q.reverse_to_degree(bound)
-    if reversed_q == p:
-        return IdentityCheckResult("reciprocity", info, True, ZERO)
-    return IdentityCheckResult("reciprocity", info, False, reversed_q - p)
+    diff = q.reverse_to_degree(bound) - p
+    return IdentityCheckResult("reciprocity", info, diff.is_zero(), diff)
 
 
 def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
@@ -272,10 +270,9 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
         coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
         terms.append((ell * ell + ell, coef * _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe)))
     rhs = shifted_sum(terms)
+    diff = lhs - rhs
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
-    if lhs == rhs:
-        return IdentityCheckResult("deletion", info, True, ZERO)
-    return IdentityCheckResult("deletion", info, False, lhs - rhs)
+    return IdentityCheckResult("deletion", info, diff.is_zero(), diff)
 
 
 def recombine_check(

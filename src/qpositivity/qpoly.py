@@ -19,7 +19,7 @@ operand, one bignum multiply and one unpack (Harvey, J. Symbolic Comput. 44,
 _SCHOOLBOOK_CUTOFF coefficients.  product(factors) packs every factor once,
 at a width that holds the product of the factors' L1 norms, multiplies the
 packed integers as a balanced tree and unpacks once; a result of at most
-4 * _SCHOOLBOOK_CUTOFF coefficients is built by `*` instead.
+2 * _SCHOOLBOOK_CUTOFF coefficients is built by schoolbook `*` instead.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ class DegreeExceedsBound(Exception):
     """The polynomial's degree is larger than the requested reversal bound."""
 
 
-# Below this operand length schoolbook convolution beats packing; a product
-# of many factors whose result has at most 4 * _SCHOOLBOOK_CUTOFF
-# coefficients is built by `*`, pair by pair.
+# Below this operand length schoolbook convolution beats packing.  For a
+# product of several factors, packing won from results of about 22-30
+# coefficients on, timed on the products the benchmark workloads make, so
+# shorter results are built by schoolbook `*`.
 _SCHOOLBOOK_CUTOFF = 16
 
 
@@ -269,37 +270,36 @@ def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    # Pack each operand into one big integer so CPython's subquadratic
-    # bignum multiplication does the convolution.
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    a_signed, b_signed = min(a) < 0, min(b) < 0
-    signed = a_signed or b_signed
-    width = _slot_bytes(bound, signed)
-    v = _pack(a, width, a_signed) * _pack(b, width, b_signed)
-    return IntPoly(_unpack(v, width, len(a) + len(b) - 1, signed))
+    return _packed_product([a, b], min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
 
 
 def product(factors: Iterable[IntPoly]) -> IntPoly:
     """The product of factors; ONE for none.
 
-    A result of at most 4 * _SCHOOLBOOK_CUTOFF coefficients is built by `*`
-    as a balanced tree.  A longer one packs every factor once, at a slot
-    width holding the product of the factors' L1 norms, which bounds every
-    coefficient of the result, multiplies the packed integers as the same
-    tree and unpacks once."""
+    A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is built by `*`
+    as a balanced tree, so every multiply in it is schoolbook.  A longer one
+    is packed, at a slot width holding the product of the factors' L1 norms,
+    which bounds every coefficient of the result."""
     factors = list(factors)
     if len(factors) < 2:
         return factors[0] if factors else ONE
     polys = [f.coeffs for f in factors]
     if not all(polys):
         return ZERO
-    count = sum(map(len, polys)) - len(polys) + 1
-    if count <= 4 * _SCHOOLBOOK_CUTOFF:
+    if sum(map(len, polys)) - len(polys) + 1 <= 2 * _SCHOOLBOOK_CUTOFF:
         return _tree_product(factors, lambda f: len(f.coeffs))
+    return _packed_product(polys, prod(sum(map(abs, p)) for p in polys))
+
+
+def _packed_product(polys: list[Sequence[int]], bound: int) -> IntPoly:
+    # Pack each nonempty coefficient list once, at a width that holds every
+    # result coefficient (at most bound in absolute value), so CPython's
+    # subquadratic bignum multiply does the convolutions, and unpack once.
     signs = [min(p) < 0 for p in polys]
     signed = any(signs)
-    width = _slot_bytes(prod(sum(map(abs, p)) for p in polys), signed)
+    width = _slot_bytes(bound, signed)
     packed = [_pack(p, width, p_signed) for p, p_signed in zip(polys, signs)]
+    count = sum(map(len, polys)) - len(polys) + 1
     return IntPoly(_unpack(_tree_product(packed, int.bit_length), width, count, signed))
 
 

@@ -222,6 +222,13 @@ class TestKernels:
         assert product(polys).coeffs == tuple(expected)
         assert product(iter(polys)) == product(polys)
 
+    def test_coefficient_at_the_width_bound_keeps_its_sign_bit(self):
+        # -136 has 8 bits and equals the bound that sets the slot width, so
+        # a signed slot needs a ninth bit and a second byte.
+        a, b = [-8] * 17, [1] * 17
+        assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(naive_mul(a, b))
+        assert product([IntPoly([0] * 20 + [-8]), IntPoly([0] * 20 + [17])]) == IntPoly([0] * 40 + [-136])
+
     def test_product_examples(self):
         long = IntPoly(range(1, 50))
         assert product([]) is ONE
@@ -231,16 +238,19 @@ class TestKernels:
         assert product([P(1, 1), P(1, -1)]) == P(1, 0, -1)
 
     def test_product_on_both_sides_of_the_short_threshold(self):
+        # Results of 2 * _SCHOOLBOOK_CUTOFF coefficients and fewer are built
+        # by `*`, longer ones packed: nonnegative and mixed-sign factors, and
+        # a q-Pochhammer-like list of many sparse factors.
         rng = random.Random(20261018)
-        for length in (4 * _SCHOOLBOOK_CUTOFF, 4 * _SCHOOLBOOK_CUTOFF + 1, 6 * _SCHOOLBOOK_CUTOFF):
-            for lo in (0, -(10**12)):
-                sizes = [length // 4 + 1] * 3 + [length - 3 * (length // 4)]
-                factors = [IntPoly([rng.randint(lo, 10**12) for _ in range(n - 1)] + [1]) for n in sizes]
-                assert len(product(factors).coeffs) == length
-                expected = [1]
-                for f in factors:
-                    expected = naive_mul(expected, list(f.coeffs))
-                assert product(factors).coeffs == tuple(expected)
+        edge = 2 * _SCHOOLBOOK_CUTOFF
+        shapes = ([2, 2], [edge // 2, edge // 2 + 1], [edge // 2 + 1] * 2, [edge // 4 + 1] * 4, [100, 100, 100])
+        cases = [[[rng.randint(lo, 10**12) for _ in range(n)] for n in sizes] for sizes in shapes for lo in (0, -(10**12))]
+        cases.append([[1] + [0] * (k - 1) + [-1] for k in range(1, 30)])
+        for factors in cases:
+            expected = [1]
+            for f in factors:
+                expected = naive_mul(expected, f)
+            assert product(IntPoly(f) for f in factors).coeffs == tuple(expected)
 
 
 class TestSerialization:
