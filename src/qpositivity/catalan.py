@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_binom, q_ratio, ratio_at_one
-from .qpoly import IntPoly, ZERO, product, shifted_sum
+from .qpoly import IntPoly, product_sum, shifted_sum
 
 
 def super_catalan_A(m: int, n: int) -> IntPoly:
@@ -78,21 +78,14 @@ def odd_super_catalan_recursive(m: int, n: int) -> IntPoly:
         return gauss_binom(2 * n, n)
     if m > n:
         N, h = n, m - n
-        total = super_catalan_A(m, n).shift(h)
-        for k in range((h - 1) // 2 + 1):
-            outer = gauss_binom(h, 2 * k + 1)
-            if outer.is_zero():
-                continue
-            total = total + product((_sub_value(k, N), outer, _inner_sum(N, h, k)))
-        return total
+        return product_sum(
+            [(h, [super_catalan_A(m, n)])]
+            + [(0, [_sub_value(k, N), gauss_binom(h, 2 * k + 1), _inner_sum(N, h, k)]) for k in range((h - 1) // 2 + 1)]
+        )
     N, h = m, n - m
-    total = ZERO
-    for k in range((h - 1) // 2 + 1):
-        outer = gauss_binom(h - 1, 2 * k)
-        if outer.is_zero():
-            continue
-        total = total + product((_sub_value(N, k), outer, _inner_sum(N, h, k)))
-    return total
+    return product_sum(
+        (0, [_sub_value(N, k), gauss_binom(h - 1, 2 * k), _inner_sum(N, h, k)]) for k in range((h - 1) // 2 + 1)
+    )
 
 
 # The recurrence for C(m, n) only revisits C(x, y) with 2(x+y)+1 <= m+n, so

@@ -9,24 +9,35 @@ polynomial per term.
 
 Long products use Kronecker substitution: a polynomial is packed into the
 integer that is its value at q = 256**width, one width-byte slot per
-coefficient, through int.to_bytes and int.from_bytes, so packing and
-unpacking take linear time, and CPython's subquadratic bignum multiply does
-the convolution.  A polynomial with a negative coefficient is packed with
-every slot raised by half a slot, which is then subtracted exactly, and a
-signed result is unpacked the same way, so a product costs one pack per
-operand, one bignum multiply and one unpack (Harvey, J. Symbolic Comput. 44,
-2009).  `*` takes this path when both operands have more than
-_SCHOOLBOOK_CUTOFF coefficients.  product(factors) packs every factor once,
-at a width that holds the product of the factors' L1 norms, multiplies the
-packed integers as a balanced tree and unpacks once; a result of at most
-2 * _SCHOOLBOOK_CUTOFF coefficients is built by schoolbook `*` instead.
+coefficient, and CPython's subquadratic bignum multiply does the
+convolution.  Packing and unpacking take linear time.  A slot of at most 8
+bytes is converted in C, all coefficients in one struct call on the
+standard little-endian word that holds the slot, with width strided byte
+copies between words and slots when the slot is narrower than its word;
+short lists of such narrower slots, and slots wider than 8 bytes, go through
+one int.to_bytes or int.from_bytes call per coefficient.  A polynomial with
+a negative coefficient is packed with every slot raised by half a slot,
+which is then subtracted exactly, and a signed result is unpacked the same
+way, so a product costs one pack per operand, one bignum multiply and one
+unpack (Harvey, J. Symbolic Comput. 44, 2009).  `*` takes this path when
+both operands have more than _SCHOOLBOOK_CUTOFF coefficients.
+
+product_sum(terms) builds a sum of shifted products, q**e times a product
+of factors per term: it packs every factor once, at a width that holds the
+sum over the terms of the product of their factors' L1 norms, multiplies
+each term's packed integers as a balanced tree, shifts it by e whole slots,
+adds the integers and unpacks once.  product(factors) packs one such term.
+A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is built from
+schoolbook `*` products instead, by product as a balanced tree and by
+product_sum as a shifted_sum of such products.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import repeat
 from math import prod
-from operator import add
+from operator import add, sub
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
@@ -64,24 +75,63 @@ def _halves(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
+# Slots of at most 8 bytes are converted in C: struct packs or unpacks the
+# coefficients as the standard little-endian word of 1, 2, 4 or 8 bytes that
+# holds a slot, and a slot narrower than its word takes width strided slice
+# copies between words and slots.  Those copies cost more than one
+# int.to_bytes call per coefficient when packing fewer than about 10 * width
+# coefficients, so such short lists, and slots wider than 8 bytes, are
+# converted one coefficient at a time.
+_WORDS = ((1, "B"), (2, "H"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"), (8, "Q"), (8, "Q"))
+
+
+def _word(width: int) -> tuple[int, str]:
+    """Bytes and struct code of the smallest standard word holding a
+    width-byte slot; (0, "") when the slot is wider than 8 bytes."""
+    return _WORDS[width - 1] if width <= 8 else (0, "")
+
+
+def _restride(src: bytes, src_stride: int, dst_stride: int) -> bytearray:
+    """The records of src_stride bytes in src as records of dst_stride bytes:
+    cut to their low bytes, or padded with zero bytes."""
+    out = bytearray(len(src) // src_stride * dst_stride)
+    for b in range(min(src_stride, dst_stride)):
+        out[b::dst_stride] = src[b::src_stride]
+    return out
+
+
 def _pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
     """The value at q = 256**width.  Signed coefficients are raised by half a
     slot to fit an unsigned slot, and the raise is subtracted again."""
-    if not signed:
-        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+    count = len(coeffs)
     half = 1 << (8 * width - 1)
-    raised = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(raised, "little") - _halves(width, len(coeffs))
+    size, code = _word(width)
+    if size == width or (size and count >= 10 * width):
+        data = struct.pack(f"<{count}{code}", *(map(add, coeffs, repeat(half)) if signed else coeffs))
+        if size != width:
+            data = _restride(data, size, width)
+    elif signed:
+        data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    else:
+        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
+    value = int.from_bytes(data, "little")
+    return value - _halves(width, count) if signed else value
 
 
 def _unpack(v: int, width: int, count: int, signed: bool) -> list[int]:
     """The count coefficients of the polynomial whose value at 256**width is v."""
-    if not signed:
-        data = v.to_bytes(width * count, "little")
-        return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * count, width)]
-    data = (v + _halves(width, count)).to_bytes(width * count, "little")
+    if signed:
+        v += _halves(width, count)
+    data = v.to_bytes(width * count, "little")
     half = 1 << (8 * width - 1)
-    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * count, width)]
+    size, code = _word(width)
+    if size:
+        words = data if size == width else _restride(data, width, size)
+        coeffs = struct.unpack(f"<{count}{code}", words)
+        return list(map(sub, coeffs, repeat(half))) if signed else list(coeffs)
+    if signed:
+        return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * count, width)]
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * count, width)]
 
 
 class IntPoly:
@@ -166,7 +216,12 @@ class IntPoly:
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a)
+        if len(b) > len(a):
+            out.extend(repeat(0, len(b) - len(a)))
+        out[: len(b)] = map(sub, out[: len(b)], b)
+        return IntPoly(out)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
@@ -270,7 +325,7 @@ def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    return _packed_product([a, b], min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+    return _packed_sum([(0, [a, b])], min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
 
 
 def product(factors: Iterable[IntPoly]) -> IntPoly:
@@ -286,21 +341,55 @@ def product(factors: Iterable[IntPoly]) -> IntPoly:
     polys = [f.coeffs for f in factors]
     if not all(polys):
         return ZERO
-    if sum(map(len, polys)) - len(polys) + 1 <= 2 * _SCHOOLBOOK_CUTOFF:
+    if _product_length(polys) <= 2 * _SCHOOLBOOK_CUTOFF:
         return _tree_product(factors, lambda f: len(f.coeffs))
-    return _packed_product(polys, prod(sum(map(abs, p)) for p in polys))
+    return _packed_sum([(0, polys)], prod(sum(map(abs, p)) for p in polys))
 
 
-def _packed_product(polys: list[Sequence[int]], bound: int) -> IntPoly:
-    # Pack each nonempty coefficient list once, at a width that holds every
-    # result coefficient (at most bound in absolute value), so CPython's
-    # subquadratic bignum multiply does the convolutions, and unpack once.
-    signs = [min(p) < 0 for p in polys]
-    signed = any(signs)
+def product_sum(terms: Iterable[tuple[int, Iterable[IntPoly]]]) -> IntPoly:
+    """The sum of q**e * product(factors) over the (e, factors) pairs
+    (e >= 0); a term with a zero factor is skipped whatever its e.
+
+    A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is the
+    shifted_sum of the terms' products.  A longer one is packed, every factor
+    once, at a slot width holding the sum over the terms of the product of
+    their factors' L1 norms, which bounds every coefficient of the result:
+    each term is one tree product of packed integers, shifted by whole
+    slots, and the sum is unpacked once."""
+    kept = []
+    for e, factors in terms:
+        factors = list(factors) or [ONE]
+        polys = [f.coeffs for f in factors]
+        if not all(polys):
+            continue
+        if e < 0:
+            raise ValueError(f"negative shift {e}")
+        kept.append((e, factors, polys))
+    if not kept:
+        return ZERO
+    if max(e + _product_length(polys) for e, _, polys in kept) <= 2 * _SCHOOLBOOK_CUTOFF:
+        return shifted_sum((e, product(factors)) for e, factors, _ in kept)
+    bound = sum(prod(sum(map(abs, p)) for p in polys) for _, _, polys in kept)
+    return _packed_sum([(e, polys) for e, _, polys in kept], bound)
+
+
+def _product_length(polys: list[Sequence[int]]) -> int:
+    return sum(map(len, polys)) - len(polys) + 1
+
+
+def _packed_sum(terms: list[tuple[int, list[Sequence[int]]]], bound: int) -> IntPoly:
+    # Pack each coefficient list once, at a width that holds every result
+    # coefficient (at most bound in absolute value), so CPython's
+    # subquadratic bignum multiply does the convolutions; a shift by e is
+    # e whole slots.  Unpack the sum once.
+    signed = any(min(p) < 0 for _, polys in terms for p in polys)
     width = _slot_bytes(bound, signed)
-    packed = [_pack(p, width, p_signed) for p, p_signed in zip(polys, signs)]
-    count = sum(map(len, polys)) - len(polys) + 1
-    return IntPoly(_unpack(_tree_product(packed, int.bit_length), width, count, signed))
+    total = 0
+    for e, polys in terms:
+        packed = [_pack(p, width, min(p) < 0) for p in polys]
+        total += _tree_product(packed, int.bit_length) << 8 * width * e
+    count = max(e + _product_length(polys) for e, polys in terms)
+    return IntPoly(_unpack(total, width, count, signed))
 
 
 def _tree_product(items: list, size: Callable) -> Any:

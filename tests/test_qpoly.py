@@ -1,10 +1,23 @@
 import json
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpositivity.qpoly import _SCHOOLBOOK_CUTOFF, DegreeExceedsBound, IntPoly, NotDivisible, ONE, ZERO, product, shifted_sum
+from qpositivity.qpoly import (
+    _SCHOOLBOOK_CUTOFF,
+    DegreeExceedsBound,
+    IntPoly,
+    NotDivisible,
+    ONE,
+    ZERO,
+    _pack,
+    _unpack,
+    product,
+    product_sum,
+    shifted_sum,
+)
 
 from oracles import naive_mul
 
@@ -45,6 +58,39 @@ def kernel_operands(draw, max_len):
     return list(map(abs, coeffs)) if draw(st.booleans()) else coeffs
 
 
+# Polynomials of 6 to 9 coefficients, longer than every small_polys draw.
+long_polys = st.builds(
+    lambda cs, top: IntPoly(cs + [top]),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=8),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+
+
+@st.composite
+def product_terms(draw):
+    """(e, factors) terms for product_sum: up to 4 terms of 1 to 3 kernel
+    operands, a ZERO factor now and then, shifts from 0 past 2 * cutoff."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        factors = [IntPoly(f) for f in draw(st.lists(kernel_operands(24), min_size=1, max_size=3))]
+        if draw(st.integers(0, 5)) == 0:
+            factors.insert(draw(st.integers(0, len(factors))), ZERO)
+        terms.append((draw(st.integers(0, 2 * _SCHOOLBOOK_CUTOFF + 8)), factors))
+    return terms
+
+
+def naive_product_sum(terms):
+    """The sum of q**e times a left-to-right naive_mul chain of the factors."""
+    total = []
+    for e, factors in terms:
+        chain = [1]
+        for poly in factors:
+            chain = naive_mul(chain, list(poly.coeffs))
+        if chain:
+            total = [x + y for x, y in zip_longest(total, [0] * e + chain, fillvalue=0)]
+    return IntPoly(total)
+
+
 def P(*coeffs):
     return IntPoly(coeffs)
 
@@ -58,6 +104,13 @@ class TestBasics:
         assert ZERO.degree is None
         assert P(1).degree == 0
         assert P(0, 0, 5).degree == 2
+
+    def test_sub_examples(self):
+        assert P(1, 2, 3) - P(0, 2, 3) == P(1)
+        assert (P(1, 2, 3) - P(0, 2, 3)).coeffs == (1,)
+        assert P(1) - P(0, 0, 4) == P(1, 0, -4)
+        assert ZERO - P(1, 1) == P(-1, -1)
+        assert P(1, 1) - ZERO == P(1, 1)
 
     def test_add_examples(self):
         assert P(1, 1) + ZERO == P(1, 1)
@@ -161,6 +214,13 @@ class TestRingProperties:
         d = 0 if p.degree is None else p.degree
         assert p.reverse_to_degree(d + 2).reverse_to_degree(d + 2) == p
 
+    @given(small_polys, long_polys)
+    def test_sub_is_add_of_negation(self, short, long):
+        assert short - long == short + (-long)
+        assert long - short == long + (-short)
+        assert (long - long).coeffs == ()
+        assert (short - short).coeffs == ()
+
     @given(small_polys, small_polys)
     def test_eval_at_one_is_homomorphism(self, a, b):
         assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
@@ -251,6 +311,70 @@ class TestKernels:
             for f in factors:
                 expected = naive_mul(expected, f)
             assert product(IntPoly(f) for f in factors).coeffs == tuple(expected)
+
+
+class TestPacking:
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("width", range(1, 27))
+    def test_round_trip_and_value(self, width, signed):
+        # Widths up to 8 take the word path (short lists of odd widths
+        # excepted), wider ones the per-coefficient path.  Coefficients
+        # include the extremes a slot holds.
+        half = 1 << (8 * width - 1)
+        edges = [-half, -(half - 1), 0, half - 1] if signed else [0, half - 1, 2 * half - 1]
+        rng = random.Random(width)
+        for count in (0, 1, 10 * width - 1, 10 * width, 300):
+            cases = [[edge] * count for edge in edges]
+            cases.append([rng.choice(edges + [rng.randint(edges[0], edges[-1])]) for _ in range(count)])
+            for cs in cases:
+                packed = _pack(cs, width, signed)
+                assert packed == sum(c << (8 * width * i) for i, c in enumerate(cs))
+                assert _unpack(packed, width, count, signed) == cs
+
+    def test_pinned_values(self):
+        # a transposed strided copy would round-trip but pack other values
+        assert _pack([1, 2, 3], 3, False) == 1 + 2 * 256**3 + 3 * 256**6
+        assert _pack([1, 2, 3] * 10, 3, False) == sum(c * 256 ** (3 * i) for i, c in enumerate([1, 2, 3] * 10))
+        assert _pack([-1, 2], 5, True) == -1 + 2 * 256**5
+        assert _unpack(1 + 2 * 256**3 + 3 * 256**6, 3, 3, False) == [1, 2, 3]
+
+
+class TestProductSum:
+    @settings(max_examples=200, deadline=None)
+    @given(product_terms())
+    def test_matches_naive_shifted_chains(self, terms):
+        assert product_sum(terms) == naive_product_sum(terms)
+        assert product_sum(iter(terms)) == naive_product_sum(terms)
+
+    def test_examples(self):
+        long = IntPoly(range(1, 50))
+        assert product_sum([]) == ZERO
+        assert product_sum([(0, [long, ZERO])]) == ZERO
+        assert product_sum([(-1, [ZERO]), (2, [long])]) == long.shift(2)
+        assert product_sum([(3, [])]) == ONE.shift(3)
+        assert product_sum([(0, [P(1, 1)]), (1, [P(1, 1), P(1, -1)])]) == P(1, 2, 0, -1)
+        # each term fits one byte and their sum needs two, so the slot width
+        # must bound the sum and not the largest term
+        top = IntPoly([0] * 40 + [255])
+        assert product_sum([(0, [top]), (0, [top])]) == IntPoly([0] * 40 + [510])
+        with pytest.raises(ValueError):
+            product_sum([(-1, [P(1)])])
+
+    def test_on_both_sides_of_the_short_threshold(self):
+        # A shift past every other term, mixed signs, byte-slot edges, and
+        # results of 2 * _SCHOOLBOOK_CUTOFF coefficients and one more.
+        rng = random.Random(20261019)
+        edge = 2 * _SCHOOLBOOK_CUTOFF
+        for lo in (0, -(2**63)):
+            factors = [IntPoly(rng.randint(lo, 2**63 - 1) for _ in range(n)) for n in (edge // 2, edge // 2, 40)]
+            for length in (edge, edge + 1):
+                terms = [(0, factors[:2]), (length - 5, [P(3, -1, 4, 1, 5)])]
+                assert len(product_sum(terms).coeffs) == length
+                assert product_sum(terms) == naive_product_sum(terms)
+            terms = [(0, factors[:2]), (300, [factors[2]]), (7, factors)]
+            assert product_sum(terms) == naive_product_sum(terms)
+        cancel = [(0, [P(1, 1)] * 40), (0, [P(-1, -1)] * 39 + [P(1, 1)])]
+        assert product_sum(cancel).coeffs == ()
 
 
 class TestSerialization:
