@@ -13,14 +13,15 @@ coefficient, and CPython's subquadratic bignum multiply does the
 convolution.  Packing and unpacking take linear time.  A slot of at most 8
 bytes is converted in C, all coefficients in one struct call on the
 standard little-endian word that holds the slot, with width strided byte
-copies between words and slots when the slot is narrower than its word;
-short lists of such narrower slots, and slots wider than 8 bytes, go through
-one int.to_bytes or int.from_bytes call per coefficient.  A polynomial with
-a negative coefficient is packed with every slot raised by half a slot,
-which is then subtracted exactly, and a signed result is unpacked the same
-way, so a product costs one pack per operand, one bignum multiply and one
-unpack (Harvey, J. Symbolic Comput. 44, 2009).  `*` takes this path when
-both operands have more than _SCHOOLBOOK_CUTOFF coefficients.
+copies between words and slots when the slot is narrower than its word.
+Slots wider than 8 bytes go through one int.to_bytes or int.from_bytes call
+per coefficient.  On either path a coefficient that does not fit its slot
+raises OverflowError.  A polynomial with a negative coefficient is packed
+with every slot raised by half a slot, which is then subtracted exactly, and
+a signed result is unpacked the same way, so a product costs one pack per
+operand, one bignum multiply and one unpack (Harvey, J. Symbolic Comput. 44,
+2009).  `*` takes this path when both operands have more than
+_SCHOOLBOOK_CUTOFF coefficients.
 
 product_sum(terms) builds a sum of shifted products, q**e times a product
 of factors per term: it packs every factor once, at a width that holds the
@@ -78,10 +79,8 @@ def _halves(width: int, count: int) -> int:
 # Slots of at most 8 bytes are converted in C: struct packs or unpacks the
 # coefficients as the standard little-endian word of 1, 2, 4 or 8 bytes that
 # holds a slot, and a slot narrower than its word takes width strided slice
-# copies between words and slots.  Those copies cost more than one
-# int.to_bytes call per coefficient when packing fewer than about 10 * width
-# coefficients, so such short lists, and slots wider than 8 bytes, are
-# converted one coefficient at a time.
+# copies between words and slots.  Slots wider than 8 bytes are converted one
+# coefficient at a time.
 _WORDS = ((1, "B"), (2, "H"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"), (8, "Q"), (8, "Q"))
 
 
@@ -106,9 +105,16 @@ def _pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
     count = len(coeffs)
     half = 1 << (8 * width - 1)
     size, code = _word(width)
-    if size == width or (size and count >= 10 * width):
-        data = struct.pack(f"<{count}{code}", *(map(add, coeffs, repeat(half)) if signed else coeffs))
+    if size:
+        try:
+            data = struct.pack(f"<{count}{code}", *(map(add, coeffs, repeat(half)) if signed else coeffs))
+        except struct.error as exc:
+            raise OverflowError(f"coefficient too large for a slot of {width} bytes") from exc
         if size != width:
+            # the bytes of each word above the slot must be zero, as
+            # to_bytes(width) would demand
+            if any(data[b::size] != bytes(count) for b in range(width, size)):
+                raise OverflowError(f"coefficient too large for a slot of {width} bytes")
             data = _restride(data, size, width)
     elif signed:
         data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
@@ -325,7 +331,11 @@ def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    return _packed_sum([(0, [a, b])], min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+    a_signed, b_signed = min(a) < 0, min(b) < 0
+    signed = a_signed or b_signed
+    width = _slot_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)), signed)
+    packed = _pack(a, width, a_signed) * _pack(b, width, b_signed)
+    return IntPoly(_unpack(packed, width, len(a) + len(b) - 1, signed))
 
 
 def product(factors: Iterable[IntPoly]) -> IntPoly:

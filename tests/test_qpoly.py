@@ -317,13 +317,12 @@ class TestPacking:
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("width", range(1, 27))
     def test_round_trip_and_value(self, width, signed):
-        # Widths up to 8 take the word path (short lists of odd widths
-        # excepted), wider ones the per-coefficient path.  Coefficients
-        # include the extremes a slot holds.
+        # Widths up to 8 take the word path, wider ones the per-coefficient
+        # path.  Coefficients include the extremes a slot holds.
         half = 1 << (8 * width - 1)
         edges = [-half, -(half - 1), 0, half - 1] if signed else [0, half - 1, 2 * half - 1]
         rng = random.Random(width)
-        for count in (0, 1, 10 * width - 1, 10 * width, 300):
+        for count in (0, 1, 5, 300):
             cases = [[edge] * count for edge in edges]
             cases.append([rng.choice(edges + [rng.randint(edges[0], edges[-1])]) for _ in range(count)])
             for cs in cases:
@@ -331,12 +330,25 @@ class TestPacking:
                 assert packed == sum(c << (8 * width * i) for i, c in enumerate(cs))
                 assert _unpack(packed, width, count, signed) == cs
 
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("width", range(1, 27))
+    def test_coefficient_past_the_slot_raises(self, width, signed):
+        # a slot narrower than its struct word must not drop the word's high
+        # bytes silently
+        half = 1 << (8 * width - 1)
+        for bad in (-half - 1, half) if signed else (-1, 2 * half):
+            for count in (1, 300):
+                with pytest.raises(OverflowError):
+                    _pack([0] * (count - 1) + [bad], width, signed)
+
     def test_pinned_values(self):
         # a transposed strided copy would round-trip but pack other values
         assert _pack([1, 2, 3], 3, False) == 1 + 2 * 256**3 + 3 * 256**6
         assert _pack([1, 2, 3] * 10, 3, False) == sum(c * 256 ** (3 * i) for i, c in enumerate([1, 2, 3] * 10))
         assert _pack([-1, 2], 5, True) == -1 + 2 * 256**5
         assert _unpack(1 + 2 * 256**3 + 3 * 256**6, 3, 3, False) == [1, 2, 3]
+        with pytest.raises(OverflowError):
+            _pack([2**24] * 30, 3, False)
 
 
 class TestProductSum:
