@@ -11,16 +11,25 @@ with cyclic index wraparound and the prefactor
     pre(m, n) = [m1]![n1]![m_r + n_s + 1]! / ([m1 + m_r + 1]![n1 + n_s]!).
 
 Only the q-power depends on (a, b).  So for each (m, n) a small cached term
-table holds the nonzero signed k-terms (-1)^k cyclic_product(m, n, k), each
-already multiplied by the prefactor's Phi_d with positive cyclotomic
-exponent, and the division by its Phi_d with negative exponent, both from
-qcombinat.cyclotomic_split.  F then adds the 2 n1 + 1 shifted terms with
-qpoly.shifted_sum and makes at most that one small exact division:
-individual terms are not generally polynomial, so a NotDivisible there is a
-meaningful global signal, not a per-term accident.  The deletion check
-takes F at its sub-instances from a table of its own, so each is evaluated
-once in a scan.  The q-multinomials of the product identity are q_ratio
-values.
+table holds the nonzero signed k-terms T_k = (-1)^k cyclic_product(m, n, k),
+each already multiplied by the prefactor's Phi_d with positive cyclotomic
+exponent, and the division by the product D of its Phi_d with negative
+exponent, both from qcombinat.cyclotomic_split.  The table keeps every T_k
+and D packed as integers (Kronecker substitution, see qpoly), at one slot
+width that holds ||D||_1 and sum_k ||T_k||_inf, so every coefficient of a
+sum of shifted terms.  F adds the packed terms, each shifted by its
+exponent in whole slots, and makes one divmod by the packed D with
+qpoly.packed_quotient, which certifies the unpacked quotient exactly.  A
+quotient that does not fit or fails its certificate repacks the table one
+byte wider.  A remainder proves that the sum is not a polynomial: individual
+terms are not generally polynomial, so a NotDivisible there is a meaningful
+global signal, not a per-term accident, and the unpacked sum's exact_div
+raises it with its remainder.
+
+The deletion check takes F at its sub-instances from a table of its own, so
+each is evaluated once in a scan, and packs its whole difference lhs - rhs
+at one width, with each deletion coefficient packed once per width.  The
+q-multinomials of the product identity are q_ratio values.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -37,7 +46,7 @@ from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
 from .qcombinat import q_poch, q_ratio, ratio_at_one
-from .qpoly import IntPoly, ONE, ZERO, product, shifted_sum
+from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, shifted_sum, slot_bytes, unpack
 
 
 class CyclicParams:
@@ -120,50 +129,77 @@ def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
     """prod_i gauss_binom(m_i+m_{i+1}+1, m_i+k) * prod_j gauss_binom(n_j+n_{j+1}, n_j+k),
     with wraparound m_{r+1} = m_1, n_{s+1} = n_1."""
     r, s = len(m), len(n)
-    out = ONE
-    for i in range(r):
-        factor = gauss_binom(m[i] + m[(i + 1) % r] + 1, m[i] + k)
-        if factor.is_zero():
-            return ZERO
-        out = out * factor
-    for j in range(s):
-        factor = gauss_binom(n[j] + n[(j + 1) % s], n[j] + k)
-        if factor.is_zero():
-            return ZERO
-        out = out * factor
-    return out
+    factors = [gauss_binom(m[i] + m[(i + 1) % r] + 1, m[i] + k) for i in range(r)]
+    factors += [gauss_binom(n[j] + n[(j + 1) % s], n[j] + k) for j in range(s)]
+    return product(factors)
 
 
-# Three bounded caches.  The term table is reused within one (m, n) block of
-# a scan and by the few deletion sub-instance tables that block meets, so 16
-# tables suffice.  F's 64 values cover a block's instances and their
-# reciprocity duals.  The deletion sub-instances ((ell, m3, ...), n, a, b-1)
-# recur only after a sweep over every m2, so they have their own table of
-# 4096 values, which holds all 2592 of the r = s = 3, param-max 3 grid and
-# keeps them from pushing the main instances out of F's cache.
-@lru_cache(maxsize=16)
-def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[tuple[tuple[int, IntPoly], ...], Division]:
+class _TermTable:
     """The (a, b)-free part of F at (m, n): the nonzero (k, (-1)^k
     cyclic_product(m, n, k) times the prefactor's Phi_d with e_d > 0), and
-    the division by its Phi_d with e_d < 0."""
+    the division by its Phi_d with e_d < 0.  The terms and the divisor are
+    kept packed at one slot width, which holds the divisor's L1 norm and
+    the sum over k of the terms' largest coefficients, so every coefficient
+    of a sum of shifted terms."""
+
+    __slots__ = ("terms", "divide", "width", "packed_terms", "packed_divisor")
+
+    def __init__(self, terms: tuple[tuple[int, IntPoly], ...], divide: Division) -> None:
+        self.terms = terms
+        self.divide = divide
+        bound = max(sum(max(map(abs, term.coeffs)) for _, term in terms), sum(map(abs, divide.divisor.coeffs)))
+        self.repack(slot_bytes(bound, True))
+
+    def repack(self, width: int) -> None:
+        self.width = width
+        self.packed_terms = [pack(term.coeffs, width, True) for _, term in self.terms]
+        self.packed_divisor = pack(self.divide.divisor.coeffs, width, True)
+
+    def evaluate(self, a: int, b: int) -> IntPoly:
+        """The sum of the terms shifted by q^{a k^2 + (2b-1) k(k-1)/2},
+        divided: one packed sum and one packed_quotient.  A quotient that
+        does not fit its slot or fails its certificate repacks the table one
+        byte wider; a remainder means the division is not exact, and the
+        division of the unpacked sum then raises NotDivisible naming the
+        Phi_d exponent."""
+        shifts = [a * k * k + (2 * b - 1) * choose2(k) for k, _ in self.terms]
+        count = max(e + len(term.coeffs) for e, (_, term) in zip(shifts, self.terms))
+        while True:
+            width = self.width
+            dividend = sum(packed << 8 * width * e for e, packed in zip(shifts, self.packed_terms))
+            try:
+                return packed_quotient(dividend, count, width, self.divide.divisor, self.packed_divisor)
+            except NotDivisible:
+                return self.divide(shifted_sum(zip(shifts, (term for _, term in self.terms))))
+            except OverflowError:
+                self.repack(width + 1)
+
+
+# Five bounded caches.  The term table is reused within one (m, n) block of
+# a scan and by the few deletion sub-instance tables that block meets, so 16
+# tables suffice, and 16 values of delta.  F's 64 values cover a block's
+# instances and their reciprocity duals.  The deletion sub-instances
+# ((ell, m3, ...), n, a, b-1) recur only after a sweep over every m2, so
+# they have their own table of 4096 values, which holds all 2592 of the
+# r = s = 3, param-max 3 grid and keeps them from pushing the main
+# instances out of F's cache.  That grid packs 126 distinct deletion
+# coefficients, keyed by (m1, m2, m3, ell) and the slot width, and 256 are
+# kept.
+@lru_cache(maxsize=16)
+def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> _TermTable:
     n1 = n[0]
     over, divide = cyclotomic_split((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]))
-    lift = product(over)
     terms = []
     for k in range(-n1, n1 + 1):
-        term = cyclic_product(m, n, k)
+        term = product((cyclic_product(m, n, k), *over))
         if not term.is_zero():
-            term = term * lift
             terms.append((k, -term if k % 2 else term))
-    return tuple(terms), divide
+    return _TermTable(tuple(terms), divide)
 
 
 def _evaluate(params: CyclicParams) -> IntPoly:
-    """The uncached body of F: the shifted k-terms of the table, summed and
-    divided."""
-    terms, divide = _term_table(params.m, params.n)
-    a, b = params.a, params.b
-    return divide(shifted_sum((a * k * k + (2 * b - 1) * choose2(k), term) for k, term in terms))
+    """The uncached body of F."""
+    return _term_table(params.m, params.n).evaluate(params.a, params.b)
 
 
 @lru_cache(maxsize=64)
@@ -180,6 +216,7 @@ def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int, unsafe
     return _evaluate(CyclicParams(m, n, a, b, unsafe))
 
 
+@lru_cache(maxsize=16)
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:
     """The reciprocity exponent; also an upper bound for deg F."""
     r, s = len(m), len(n)
@@ -264,15 +301,37 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
             f"deletion_check requires r >= 3 and 2 <= b <= r, got r={params.r}, b={params.b}"
         )
     m, n, a, b, unsafe = params.m, params.n, params.a, params.b, params.unsafe
-    lhs = F(params)
-    terms = []
-    for ell in range(min(m[0], m[1]) + 1):  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
-        coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
-        terms.append((ell * ell + ell, coef * _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe)))
-    rhs = shifted_sum(terms)
-    diff = lhs - rhs
+    m1, m2, m3 = m[:3]
+    lhs = F(params).coeffs
+    subs = []
+    for ell in range(min(m1, m2) + 1):  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
+        sub = _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe).coeffs
+        if sub:
+            subs.append((ell, sub))
+    # lhs - rhs is packed at one width that bounds each of its coefficients;
+    # a Gaussian coefficient is nonnegative, so its L1 norm is its value at 1
+    bound = max(map(abs, lhs), default=0) + sum(
+        comb(m1, ell) * comb(m2 + m3 + 1, m2 - ell) * max(map(abs, sub)) for ell, sub in subs
+    )
+    width = slot_bytes(bound, True)
+    diff = pack(lhs, width, True)
+    count = len(lhs)
+    for ell, sub in subs:
+        coef, length = _deletion_coefficient(m1, m2, m3, ell, width)
+        e = ell * ell + ell
+        diff -= coef * pack(sub, width, True) << 8 * width * e
+        count = max(count, e + length + len(sub) - 1)
+    difference = IntPoly(unpack(diff, width, count, True)) if diff else ZERO
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
-    return IdentityCheckResult("deletion", info, diff.is_zero(), diff)
+    return IdentityCheckResult("deletion", info, not diff, difference)
+
+
+@lru_cache(maxsize=256)
+def _deletion_coefficient(m1: int, m2: int, m3: int, ell: int, width: int) -> tuple[int, int]:
+    """gauss_binom(m1, ell) gauss_binom(m2+m3+1, m2-ell) packed at width
+    bytes a slot, and its number of coefficients."""
+    coef = gauss_binom(m1, ell) * gauss_binom(m2 + m3 + 1, m2 - ell)
+    return pack(coef.coeffs, width, False), len(coef.coeffs)
 
 
 def recombine_check(

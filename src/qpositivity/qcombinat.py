@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Any, Callable
+from typing import Any
 
-from .qpoly import IntPoly, NotDivisible, ZERO, product
+from .qpoly import IntPoly, NotDivisible, ONE, ZERO, product
 
 
 class NegativeIndex(Exception):
@@ -87,7 +87,28 @@ def cyclotomic(d: int) -> IntPoly:
     return q_int(d).exact_div(product(cyclotomic(e) for e in range(2, d) if d % e == 0))
 
 
-Division = Callable[[IntPoly], IntPoly]
+class Division:
+    """The exact division by divisor, a product of Phi_d, called as a
+    function.  It raises NotDivisible naming shortfall, the first Phi_d with
+    a negative exponent ("Phi_2 exponent -1"), when it leaves a remainder.
+    Division() divides by ONE: it returns its argument."""
+
+    __slots__ = ("divisor", "shortfall")
+
+    def __init__(self, divisor: IntPoly = ONE, shortfall: str = "") -> None:
+        self.divisor = divisor
+        self.shortfall = shortfall
+
+    def __call__(self, poly: IntPoly) -> IntPoly:
+        if not self.shortfall:
+            return poly
+        try:
+            return poly.exact_div(self.divisor)
+        except NotDivisible as exc:
+            raise NotDivisible(exc.remainder, self.shortfall) from None
+
+
+_UNCHANGED = Division()
 
 
 def cyclotomic_split(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[IntPoly, ...], Division]:
@@ -100,21 +121,9 @@ def cyclotomic_split(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[
     over = tuple(cyclotomic(d) for d, e in exponents.items() for _ in range(e))
     short = [(d, e) for d, e in exponents.items() if e < 0]
     if not short:
-        return over, _unchanged
+        return over, _UNCHANGED
     under = product(cyclotomic(d) for d, e in short for _ in range(-e))
-    shortfall = "Φ_{} exponent {}".format(*short[0])
-
-    def divide(poly: IntPoly) -> IntPoly:
-        try:
-            return poly.exact_div(under)
-        except NotDivisible as exc:
-            raise NotDivisible(exc.remainder, shortfall) from None
-
-    return over, divide
-
-
-def _unchanged(poly: IntPoly) -> IntPoly:
-    return poly
+    return over, Division(under, "Φ_{} exponent {}".format(*short[0]))
 
 
 def q_ratio(num: tuple[int, ...], den: tuple[int, ...], *times: IntPoly) -> IntPoly:

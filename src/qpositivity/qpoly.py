@@ -28,18 +28,24 @@ of factors per term: it packs every factor once, at a width that holds the
 sum over the terms of the product of their factors' L1 norms, multiplies
 each term's packed integers as a balanced tree, shifts it by e whole slots,
 adds the integers and unpacks once.  product(factors) packs one such term.
-A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is built from
-schoolbook `*` products instead, by product as a balanced tree and by
-product_sum as a shifted_sum of such products.
+A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is built by
+schoolbook convolution instead: product multiplies the factors' coefficient
+tuples in a chain, shortest first, and makes one IntPoly, and product_sum
+takes the shifted_sum of such products.
+
+packed_quotient(dividend, ...) divides a polynomial that is already packed
+by a monic one with one divmod, and certifies the unpacked quotient by a
+bound on its coefficients.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import reduce
 from itertools import repeat
 from math import prod
 from operator import add, sub
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class NotDivisible(Exception):
@@ -65,7 +71,7 @@ class DegreeExceedsBound(Exception):
 _SCHOOLBOOK_CUTOFF = 16
 
 
-def _slot_bytes(bound: int, signed: bool) -> int:
+def slot_bytes(bound: int, signed: bool) -> int:
     """Bytes per slot for values of absolute value at most bound: below half
     a slot when signed, below a whole slot otherwise."""
     return (bound.bit_length() + signed + 7) // 8
@@ -99,7 +105,7 @@ def _restride(src: bytes, src_stride: int, dst_stride: int) -> bytearray:
     return out
 
 
-def _pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
+def pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
     """The value at q = 256**width.  Signed coefficients are raised by half a
     slot to fit an unsigned slot, and the raise is subtracted again."""
     count = len(coeffs)
@@ -124,7 +130,7 @@ def _pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
     return value - _halves(width, count) if signed else value
 
 
-def _unpack(v: int, width: int, count: int, signed: bool) -> list[int]:
+def unpack(v: int, width: int, count: int, signed: bool) -> list[int]:
     """The count coefficients of the polynomial whose value at 256**width is v."""
     if signed:
         v += _halves(width, count)
@@ -236,12 +242,7 @@ class IntPoly:
         if not a or not b:
             return ZERO
         if min(len(a), len(b)) <= _SCHOOLBOOK_CUTOFF:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return IntPoly(out)
+            return IntPoly(_schoolbook(a, b))
         return _kronecker_mul(a, b)
 
     def shift(self, e: int) -> "IntPoly":
@@ -330,21 +331,53 @@ def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
     return IntPoly(out)
 
 
+def packed_quotient(dividend: int, count: int, width: int, den: IntPoly, packed_den: int) -> IntPoly:
+    """The exact quotient of a packed polynomial P by den, with one divmod.
+
+    dividend is P and packed_den is den, packed at width bytes a slot; P has
+    at most count coefficients, each below half a slot.  A nonzero remainder
+    means that den does not divide P, and P.exact_div(den) then raises
+    NotDivisible with its remainder.  Otherwise the quotient Q is unpacked
+    and certified: when ||Q||_inf * ||den||_1 is below half a slot, Q * den
+    and P are polynomials with coefficients below half a slot and the same
+    value at 256**width, so they are equal.  An unpack that overflows or a
+    failed certificate raises OverflowError, and a wider slot decides; for a
+    monic den a wide enough slot always does."""
+    quotient, remainder = divmod(dividend, packed_den)
+    if remainder:
+        return IntPoly(unpack(dividend, width, count, True)).exact_div(den)
+    coeffs = unpack(quotient, width, max(count - len(den.coeffs) + 1, 0), True)
+    if max(map(abs, coeffs), default=0) * sum(map(abs, den.coeffs)) >= 1 << 8 * width - 1:
+        raise OverflowError(f"quotient not certified at a slot of {width} bytes")
+    return IntPoly(coeffs)
+
+
+def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # the leading coefficient is a product of two nonzero ones, so the
+    # result of two canonical operands has no trailing zero
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     a_signed, b_signed = min(a) < 0, min(b) < 0
     signed = a_signed or b_signed
-    width = _slot_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)), signed)
-    packed = _pack(a, width, a_signed) * _pack(b, width, b_signed)
-    return IntPoly(_unpack(packed, width, len(a) + len(b) - 1, signed))
+    width = slot_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)), signed)
+    packed = pack(a, width, a_signed) * pack(b, width, b_signed)
+    return IntPoly(unpack(packed, width, len(a) + len(b) - 1, signed))
 
 
 def product(factors: Iterable[IntPoly]) -> IntPoly:
     """The product of factors; ONE for none.
 
-    A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is built by `*`
-    as a balanced tree, so every multiply in it is schoolbook.  A longer one
-    is packed, at a slot width holding the product of the factors' L1 norms,
-    which bounds every coefficient of the result."""
+    A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is a chain of
+    schoolbook convolutions of the coefficient tuples, shortest first.  A
+    longer one is packed, at a slot width holding the product of the
+    factors' L1 norms, which bounds every coefficient of the result."""
     factors = list(factors)
     if len(factors) < 2:
         return factors[0] if factors else ONE
@@ -352,7 +385,7 @@ def product(factors: Iterable[IntPoly]) -> IntPoly:
     if not all(polys):
         return ZERO
     if _product_length(polys) <= 2 * _SCHOOLBOOK_CUTOFF:
-        return _tree_product(factors, lambda f: len(f.coeffs))
+        return IntPoly(reduce(_schoolbook, sorted(polys, key=len)))
     return _packed_sum([(0, polys)], prod(sum(map(abs, p)) for p in polys))
 
 
@@ -393,20 +426,20 @@ def _packed_sum(terms: list[tuple[int, list[Sequence[int]]]], bound: int) -> Int
     # subquadratic bignum multiply does the convolutions; a shift by e is
     # e whole slots.  Unpack the sum once.
     signed = any(min(p) < 0 for _, polys in terms for p in polys)
-    width = _slot_bytes(bound, signed)
+    width = slot_bytes(bound, signed)
     total = 0
     for e, polys in terms:
-        packed = [_pack(p, width, min(p) < 0) for p in polys]
-        total += _tree_product(packed, int.bit_length) << 8 * width * e
+        packed = [pack(p, width, min(p) < 0) for p in polys]
+        total += _tree_product(packed) << 8 * width * e
     count = max(e + _product_length(polys) for e, polys in terms)
-    return IntPoly(_unpack(total, width, count, signed))
+    return IntPoly(unpack(total, width, count, signed))
 
 
-def _tree_product(items: list, size: Callable) -> Any:
+def _tree_product(items: list[int]) -> int:
     # each round sorts by size and multiplies neighbours, so the few long
     # products come last
     while len(items) > 1:
-        items = sorted(items, key=size)
+        items = sorted(items, key=int.bit_length)
         pairs = [a * b for a, b in zip(items[::2], items[1::2])]
         items = pairs + items[2 * len(pairs) :]
     return items[0]

@@ -18,7 +18,7 @@ from qpositivity.altsum import (
     value_at_one_reference,
 )
 from qpositivity.cli import main
-from qpositivity.qcombinat import InvalidRange, choose2, gauss_binom, q_factorial
+from qpositivity.qcombinat import Division, InvalidRange, choose2, gauss_binom, q_factorial
 from qpositivity.qpoly import IntPoly, NotDivisible, ZERO
 
 from oracles import exponents_nonnegative, f_k_sum, sym_alternating_sum, sym_coeffs
@@ -418,6 +418,41 @@ class TestTermTable:
             assert F(params) - result.difference == rhs
             assert result.passed == (F(params) == rhs)
 
+    def test_packed_difference_is_the_polynomial_difference(self, monkeypatch):
+        # sub-instance values that break the recurrence: shifted, signed and
+        # past a machine word, zero, negated, and changed only at ell = 0
+        body = altsum._sub_instance
+        perturbations = [
+            lambda sub, ell: sub + IntPoly([0] * ell + [1]),
+            lambda sub, ell: sub - IntPoly([3, -(2**70), 5]),
+            lambda sub, ell: ZERO,
+            lambda sub, ell: -sub,
+            lambda sub, ell: sub if ell else sub + IntPoly([255] * 40 + [-(2**63)]),
+        ]
+        grid = [CyclicParams(m, n, a, b) for m, n, a, b in [
+            ((1, 2, 1), (1, 2), 1, 2),
+            ((2, 2, 1), (2, 1), 0, 3),
+            ((3, 2, 2), (2, 3, 1), 2, 2),
+        ]] + [CyclicParams((0, 1, 2), (2, 1), 1, 3, unsafe=True)]
+        for perturb in perturbations:
+            def perturbed(m, n, a, b, unsafe, perturb=perturb):
+                return perturb(body(m, n, a, b, unsafe), m[0])
+
+            monkeypatch.setattr(altsum, "_sub_instance", perturbed)
+            for params in grid:
+                m = params.m
+                rhs = ZERO
+                for ell in range(m[0] + 1):
+                    coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
+                    if not coef.is_zero():
+                        sub = perturbed((ell,) + m[2:], params.n, params.a, params.b - 1, params.unsafe)
+                        rhs = rhs + (coef * sub).shift(ell * ell + ell)
+                result = deletion_check(params)
+                assert result.difference == F(params) - rhs
+                assert result.passed == (F(params) == rhs)
+        monkeypatch.setattr(altsum, "_sub_instance", body)
+        assert all(deletion_check(params).passed for params in grid)
+
     def test_sub_instance_failure_is_not_cached(self, monkeypatch):
         for cache in _altsum_caches():
             cache.cache_clear()
@@ -437,9 +472,36 @@ class TestTermTable:
                 deletion_check(params)
         assert failures == [CyclicParams((0, 1), (1, 1), 1, 1)] * 3
 
+    def test_table_width_holds_the_sum_of_the_terms(self):
+        # at a = 0, b = 1 the k = 0 and k = 1 terms both have shift 0, and
+        # their sum 200 + 2q needs a second byte that neither term needs
+        table = altsum._TermTable(((0, P(100, 1)), (1, P(100, 1))), Division())
+        assert table.width == 2
+        assert table.evaluate(0, 1) == P(200, 2)
+
+    def test_table_repacks_for_a_wide_quotient(self):
+        # one byte holds the dividend 39 - 2q - ... - 2q^39 + 39q^40 and
+        # ||(1 - q)^2||_1, but not the quotient, whose coefficients reach 400
+        quotient, divisor = IntPoly((i + 1) * (39 - i) for i in range(39)), P(1, -2, 1)
+        table = altsum._TermTable(((0, quotient * divisor),), Division(divisor, "Φ_1 exponent -2"))
+        assert table.width == 1
+        assert table.evaluate(0, 1) == quotient
+        assert table.width == 2
+
+    def test_table_failure_carries_the_remainder_and_the_exponent(self):
+        # 1 + 2q + 3q at a = 1 is 1 + 5q = 5(1 + q) - 4
+        divide = Division(P(1, 1), "Φ_2 exponent -1")
+        table = altsum._TermTable(((0, P(1, 2)), (1, P(3))), divide)
+        with pytest.raises(NotDivisible, match="Φ_2 exponent -1") as exc:
+            table.evaluate(1, 1)
+        assert exc.value.remainder == P(-4)
+        with pytest.raises(NotDivisible) as direct:
+            P(1, 5).exact_div(P(1, 1))
+        assert exc.value.remainder == direct.value.remainder
+
     def test_failure_names_the_first_negative_exponent(self):
         # the prefactor at m = n = (1, 1) has Phi_2 exponent -1; 1 is not a multiple of 1 + q
-        divide = altsum._term_table((1, 1), (1, 1))[1]
+        divide = altsum._term_table((1, 1), (1, 1)).divide
         with pytest.raises(NotDivisible, match="Φ_2 exponent -1"):
             divide(IntPoly((1,)))
 

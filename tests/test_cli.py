@@ -290,6 +290,18 @@ def test_scan_c_digest(tmp_path):
     )
 
 
+def test_scan_f_digest(tmp_path):
+    # the benchmark's F grid: packed term tables, quotients and deletion
+    # differences over 8748 instances, with all five checks
+    out = tmp_path / "f.jsonl"
+    argv = ["scan", "F", "--r", "3", "--s", "3", "--param-max", "3",
+            "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization"]
+    assert main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8ebae2b3c3f4329144086455b7495d35890c8352f8f75ddcd1aab91ebd748d83"
+    )
+
+
 # -- the exit-code contract on arbitrary argv ----------------------------------
 
 SMALL = st.integers(-2, 4)

@@ -12,11 +12,13 @@ from qpositivity.qpoly import (
     NotDivisible,
     ONE,
     ZERO,
-    _pack,
-    _unpack,
+    pack,
+    packed_quotient,
     product,
     product_sum,
     shifted_sum,
+    slot_bytes,
+    unpack,
 )
 
 from oracles import naive_mul
@@ -158,6 +160,78 @@ class TestExactDiv:
         assert P(0, 0, 4).exact_div(P(0, 2)) == P(0, 2)
         with pytest.raises(NotDivisible):
             P(0, 3).exact_div(P(2))
+
+
+def divide_packed(p, den):
+    """packed_quotient as F calls it: the dividend packed at the first width
+    that holds its coefficients and den's L1 norm, one byte wider after each
+    OverflowError."""
+    width = slot_bytes(max(max(map(abs, p), default=0), sum(map(abs, den))), True)
+    while True:
+        try:
+            return packed_quotient(pack(p.coeffs, width, True), len(p.coeffs), width, den, pack(den.coeffs, width, True))
+        except OverflowError:
+            width += 1
+
+
+def division_outcome(divide, p, den):
+    """The quotient, or the remainder carried by the NotDivisible raised."""
+    try:
+        return "quotient", divide(p, den)
+    except NotDivisible as exc:
+        return "remainder", exc.remainder
+
+
+# Monic divisors, whose other coefficients are kernel coefficients.
+monic_polys = st.builds(lambda cs: IntPoly(cs + [1]), st.lists(kernel_coeffs, max_size=6))
+
+
+class TestPackedQuotient:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_coeffs, max_size=12), monic_polys, st.lists(kernel_coeffs, max_size=6))
+    def test_matches_exact_div(self, quotient, den, remainder):
+        # exact quotients, and the same products plus a remainder of lower
+        # degree than den, which exact_div must reject with the same remainder
+        exact = IntPoly(quotient) * den
+        for p in (exact, exact + IntPoly(remainder[: len(den.coeffs) - 1])):
+            assert division_outcome(divide_packed, p, den) == division_outcome(IntPoly.exact_div, p, den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_coeffs, max_size=12), monic_polys)
+    def test_arbitrary_dividends(self, coeffs, den):
+        p = IntPoly(coeffs)
+        assert division_outcome(divide_packed, p, den) == division_outcome(IntPoly.exact_div, p, den)
+
+    def test_examples(self):
+        assert divide_packed(P(-1, 0, 1), P(-1, 1)) == P(1, 1)
+        assert divide_packed(ZERO, P(5, -3, 1)) == ZERO
+        assert divide_packed(P(7), ONE) == P(7)
+        # a dividend shorter than the divisor
+        for p in (P(3), P(-3, 200), P(128)):
+            with pytest.raises(NotDivisible) as exc:
+                divide_packed(p, P(1, -1, 1))
+            assert exc.value.remainder == p
+        with pytest.raises(NotDivisible) as exc:
+            divide_packed(P(1, 0, 1), P(1, 1))
+        assert exc.value.remainder == P(2)
+
+    def test_quotient_wider_than_the_dividend(self):
+        # (q - 1) * c(1 + q + ... + q^9) = -c + c q^10 fills two bytes, but
+        # the certificate needs c * ||q - 1||_1 = 2c below half a slot
+        c = 2**15 - 1
+        p, den = P(-c, *[0] * 9, c), P(-1, 1)
+        with pytest.raises(OverflowError):
+            packed_quotient(pack(p.coeffs, 2, True), 11, 2, den, pack(den.coeffs, 2, True))
+        assert divide_packed(p, den) == IntPoly([c] * 10)
+        # (1 - q)^2 times the bump (i + 1)(39 - i), whose coefficients reach
+        # 400, is 39 - 2q - ... - 2q^39 + 39q^40: one byte holds the dividend
+        # but not the quotient
+        quotient, den = IntPoly((i + 1) * (39 - i) for i in range(39)), P(1, -2, 1)
+        p = quotient * den
+        assert max(map(abs, p)) == 39
+        with pytest.raises(OverflowError):
+            packed_quotient(pack(p.coeffs, 1, True), 41, 1, den, pack(den.coeffs, 1, True))
+        assert divide_packed(p, den) == quotient
 
 
 class TestReverse:
@@ -326,9 +400,9 @@ class TestPacking:
             cases = [[edge] * count for edge in edges]
             cases.append([rng.choice(edges + [rng.randint(edges[0], edges[-1])]) for _ in range(count)])
             for cs in cases:
-                packed = _pack(cs, width, signed)
+                packed = pack(cs, width, signed)
                 assert packed == sum(c << (8 * width * i) for i, c in enumerate(cs))
-                assert _unpack(packed, width, count, signed) == cs
+                assert unpack(packed, width, count, signed) == cs
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("width", range(1, 27))
@@ -339,16 +413,16 @@ class TestPacking:
         for bad in (-half - 1, half) if signed else (-1, 2 * half):
             for count in (1, 300):
                 with pytest.raises(OverflowError):
-                    _pack([0] * (count - 1) + [bad], width, signed)
+                    pack([0] * (count - 1) + [bad], width, signed)
 
     def test_pinned_values(self):
         # a transposed strided copy would round-trip but pack other values
-        assert _pack([1, 2, 3], 3, False) == 1 + 2 * 256**3 + 3 * 256**6
-        assert _pack([1, 2, 3] * 10, 3, False) == sum(c * 256 ** (3 * i) for i, c in enumerate([1, 2, 3] * 10))
-        assert _pack([-1, 2], 5, True) == -1 + 2 * 256**5
-        assert _unpack(1 + 2 * 256**3 + 3 * 256**6, 3, 3, False) == [1, 2, 3]
+        assert pack([1, 2, 3], 3, False) == 1 + 2 * 256**3 + 3 * 256**6
+        assert pack([1, 2, 3] * 10, 3, False) == sum(c * 256 ** (3 * i) for i, c in enumerate([1, 2, 3] * 10))
+        assert pack([-1, 2], 5, True) == -1 + 2 * 256**5
+        assert unpack(1 + 2 * 256**3 + 3 * 256**6, 3, 3, False) == [1, 2, 3]
         with pytest.raises(OverflowError):
-            _pack([2**24] * 30, 3, False)
+            pack([2**24] * 30, 3, False)
 
 
 class TestProductSum:
