@@ -169,7 +169,8 @@ def divide_packed(p, den):
     width = slot_bytes(max(max(map(abs, p), default=0), sum(map(abs, den))), True)
     while True:
         try:
-            return packed_quotient(pack(p.coeffs, width, True), len(p.coeffs), width, den, pack(den.coeffs, width, True))
+            dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
+            return packed_quotient(dividend, len(p.coeffs), width, den, packed_den)
         except OverflowError:
             width += 1
 
