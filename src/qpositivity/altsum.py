@@ -46,7 +46,7 @@ from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
 from .qcombinat import q_poch, q_ratio, ratio_at_one
-from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, shifted_sum, slot_bytes, unpack
+from .qpoly import IntPoly, ZERO, pack, packed_quotient, product, shifted_sum, slot_bytes, unpack
 
 
 class CyclicParams:
@@ -142,7 +142,7 @@ class _TermTable:
     the sum over k of the terms' largest coefficients, so every coefficient
     of a sum of shifted terms."""
 
-    __slots__ = ("terms", "divide", "width", "packed_terms", "packed_divisor")
+    __slots__ = ("terms", "divide", "packed")
 
     def __init__(self, terms: tuple[tuple[int, IntPoly], ...], divide: Division) -> None:
         self.terms = terms
@@ -151,9 +151,10 @@ class _TermTable:
         self.repack(slot_bytes(bound, True))
 
     def repack(self, width: int) -> None:
-        self.width = width
-        self.packed_terms = [pack(term.coeffs, width, True) for _, term in self.terms]
-        self.packed_divisor = pack(self.divide.divisor.coeffs, width, True)
+        """Pack the terms and the divisor at width bytes a slot, replacing
+        (width, packed terms, packed divisor) as one value."""
+        packed_terms = [pack(term.coeffs, width, True) for _, term in self.terms]
+        self.packed = (width, packed_terms, pack(self.divide.divisor.coeffs, width, True))
 
     def evaluate(self, a: int, b: int) -> IntPoly:
         """The sum of the terms shifted by q^{a k^2 + (2b-1) k(k-1)/2},
@@ -165,12 +166,10 @@ class _TermTable:
         shifts = [a * k * k + (2 * b - 1) * choose2(k) for k, _ in self.terms]
         count = max(e + len(term.coeffs) for e, (_, term) in zip(shifts, self.terms))
         while True:
-            width = self.width
-            dividend = sum(packed << 8 * width * e for e, packed in zip(shifts, self.packed_terms))
+            width, packed_terms, packed_divisor = self.packed
+            dividend = sum(packed << 8 * width * e for e, packed in zip(shifts, packed_terms))
             try:
-                return packed_quotient(dividend, count, width, self.divide.divisor, self.packed_divisor)
-            except NotDivisible:
-                return self.divide(shifted_sum(zip(shifts, (term for _, term in self.terms))))
+                return packed_quotient(dividend, count, width, self.divide, packed_divisor)
             except OverflowError:
                 self.repack(width + 1)
 

@@ -331,23 +331,26 @@ def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
     return IntPoly(out)
 
 
-def packed_quotient(dividend: int, count: int, width: int, den: IntPoly, packed_den: int) -> IntPoly:
-    """The exact quotient of a packed polynomial P by den, with one divmod.
+def packed_quotient(dividend: int, count: int, width: int, divide, packed_den: int) -> IntPoly:
+    """The exact quotient of a packed polynomial P by divide.divisor, den,
+    with one divmod.
 
-    dividend is P and packed_den is den, packed at width bytes a slot; P has
-    at most count coefficients, each below half a slot.  A nonzero remainder
-    means that den does not divide P, and P.exact_div(den) then raises
-    NotDivisible with its remainder.  Otherwise the quotient Q is unpacked
-    and certified: when ||Q||_inf * ||den||_1 is below half a slot, Q * den
-    and P are polynomials with coefficients below half a slot and the same
-    value at 256**width, so they are equal.  An unpack that overflows or a
-    failed certificate raises OverflowError, and a wider slot decides; for a
-    monic den a wide enough slot always does."""
+    divide is an exact division by den, such as qcombinat.Division, that
+    raises NotDivisible on a remainder.  dividend is P and packed_den is den,
+    packed at width bytes a slot; P has at most count coefficients, each
+    below half a slot.  A nonzero remainder means that den does not divide P,
+    and divide(P) then raises NotDivisible with its remainder.  Otherwise the
+    quotient Q is unpacked and certified: when ||Q||_inf * ||den||_1 is below
+    half a slot, Q * den and P are polynomials with coefficients below half a
+    slot and the same value at 256**width, so they are equal.  An unpack that
+    overflows or a failed certificate raises OverflowError, and a wider slot
+    decides; for a monic den a wide enough slot always does."""
+    den = divide.divisor.coeffs
     quotient, remainder = divmod(dividend, packed_den)
     if remainder:
-        return IntPoly(unpack(dividend, width, count, True)).exact_div(den)
-    coeffs = unpack(quotient, width, max(count - len(den.coeffs) + 1, 0), True)
-    if max(map(abs, coeffs), default=0) * sum(map(abs, den.coeffs)) >= 1 << 8 * width - 1:
+        return divide(IntPoly(unpack(dividend, width, count, True)))
+    coeffs = unpack(quotient, width, max(count - len(den) + 1, 0), True)
+    if max(map(abs, coeffs), default=0) * sum(map(abs, den)) >= 1 << 8 * width - 1:
         raise OverflowError(f"quotient not certified at a slot of {width} bytes")
     return IntPoly(coeffs)
 

@@ -476,7 +476,7 @@ class TestTermTable:
         # at a = 0, b = 1 the k = 0 and k = 1 terms both have shift 0, and
         # their sum 200 + 2q needs a second byte that neither term needs
         table = altsum._TermTable(((0, P(100, 1)), (1, P(100, 1))), Division())
-        assert table.width == 2
+        assert table.packed[0] == 2
         assert table.evaluate(0, 1) == P(200, 2)
 
     def test_table_repacks_for_a_wide_quotient(self):
@@ -484,9 +484,9 @@ class TestTermTable:
         # ||(1 - q)^2||_1, but not the quotient, whose coefficients reach 400
         quotient, divisor = IntPoly((i + 1) * (39 - i) for i in range(39)), P(1, -2, 1)
         table = altsum._TermTable(((0, quotient * divisor),), Division(divisor, "Φ_1 exponent -2"))
-        assert table.width == 1
+        assert table.packed[0] == 1
         assert table.evaluate(0, 1) == quotient
-        assert table.width == 2
+        assert table.packed[0] == 2
 
     def test_table_failure_carries_the_remainder_and_the_exponent(self):
         # 1 + 2q + 3q at a = 1 is 1 + 5q = 5(1 + q) - 4

@@ -5,6 +5,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpositivity.qcombinat import Division
 from qpositivity.qpoly import (
     _SCHOOLBOOK_CUTOFF,
     DegreeExceedsBound,
@@ -165,12 +166,12 @@ class TestExactDiv:
 def divide_packed(p, den):
     """packed_quotient as F calls it: the dividend packed at the first width
     that holds its coefficients and den's L1 norm, one byte wider after each
-    OverflowError."""
+    OverflowError, with a Division by den."""
     width = slot_bytes(max(max(map(abs, p), default=0), sum(map(abs, den))), True)
     while True:
         try:
             dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
-            return packed_quotient(dividend, len(p.coeffs), width, den, packed_den)
+            return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den)
         except OverflowError:
             width += 1
 
@@ -222,7 +223,7 @@ class TestPackedQuotient:
         c = 2**15 - 1
         p, den = P(-c, *[0] * 9, c), P(-1, 1)
         with pytest.raises(OverflowError):
-            packed_quotient(pack(p.coeffs, 2, True), 11, 2, den, pack(den.coeffs, 2, True))
+            packed_quotient(pack(p.coeffs, 2, True), 11, 2, Division(den, "den"), pack(den.coeffs, 2, True))
         assert divide_packed(p, den) == IntPoly([c] * 10)
         # (1 - q)^2 times the bump (i + 1)(39 - i), whose coefficients reach
         # 400, is 39 - 2q - ... - 2q^39 + 39q^40: one byte holds the dividend
@@ -231,7 +232,7 @@ class TestPackedQuotient:
         p = quotient * den
         assert max(map(abs, p)) == 39
         with pytest.raises(OverflowError):
-            packed_quotient(pack(p.coeffs, 1, True), 41, 1, den, pack(den.coeffs, 1, True))
+            packed_quotient(pack(p.coeffs, 1, True), 41, 1, Division(den, "den"), pack(den.coeffs, 1, True))
         assert divide_packed(p, den) == quotient
 
 
