@@ -23,8 +23,9 @@ qpoly.packed_quotient, which certifies the unpacked quotient exactly.  A
 quotient that does not fit or fails its certificate repacks the table one
 byte wider.  A remainder proves that the sum is not a polynomial: individual
 terms are not generally polynomial, so a NotDivisible there is a meaningful
-global signal, not a per-term accident, and the unpacked sum's exact_div
-raises it with its remainder.
+global signal, not a per-term accident, and packed_quotient raises it by
+dividing the unpacked dividend with the table's Division, which names the
+Phi_d exponent.
 
 The deletion check takes F at its sub-instances from a table of its own, so
 each is evaluated once in a scan, and packs its whole difference lhs - rhs
