@@ -11,26 +11,26 @@ with cyclic index wraparound and the prefactor
     pre(m, n) = [m1]![n1]![m_r + n_s + 1]! / ([m1 + m_r + 1]![n1 + n_s]!).
 
 Only the q-power depends on (a, b).  So for each (m, n) a small cached term
-table holds the nonzero signed k-terms T_k = (-1)^k cyclic_product(m, n, k),
-each already multiplied by the prefactor's Phi_d with positive cyclotomic
-exponent, and the division by the product D of its Phi_d with negative
-exponent, both from qcombinat.cyclotomic_split.  The table keeps every T_k
-and D packed as integers (Kronecker substitution, see qpoly), at one slot
-width that holds ||D||_1 and sum_k ||T_k||_inf, so every coefficient of a
-sum of shifted terms.  F adds the packed terms, each shifted by its
-exponent in whole slots, and makes one divmod by the packed D with
-qpoly.packed_quotient, which certifies the unpacked quotient exactly.  A
-quotient that does not fit or fails its certificate repacks the table one
-byte wider.  A remainder proves that the sum is not a polynomial: individual
-terms are not generally polynomial, so a NotDivisible there is a meaningful
-global signal, not a per-term accident, and packed_quotient raises it by
-dividing the unpacked dividend with the table's Division, which names the
-Phi_d exponent.
+table keeps, for each k with a nonzero term, the term's factors: its r + s
+Gaussian coefficients and the prefactor's Phi_d with positive cyclotomic
+exponent.  It keeps the division by the product D of the Phi_d with negative
+exponent, both from qcombinat.cyclotomic_split.  Every factor and D are
+packed as integers (Kronecker substitution, see qpoly) at one slot width,
+fixed before any product from the factors' norms by Young's inequality, so
+that it holds every coefficient of a sum of shifted terms; a term is the
+signed product of its packed factors, and no polynomial product is formed.
+F adds the packed terms, each shifted by its exponent in whole slots, and
+makes one divmod by the packed D with qpoly.packed_quotient, which
+certifies the unpacked quotient exactly.  A quotient that does not fit or
+fails its certificate repacks the table one byte wider.  A remainder proves
+that the sum is not a polynomial: individual terms are not generally
+polynomial, so a NotDivisible there is a meaningful global signal, not a
+per-term accident, and packed_quotient raises it by dividing the unpacked
+dividend with the table's Division, which names the Phi_d exponent.
 
-The deletion check takes F at its sub-instances from a table of its own, so
-each is evaluated once in a scan, and packs its whole difference lhs - rhs
-at one width, with each deletion coefficient packed once per width.  The
-q-multinomials of the product identity are q_ratio values.
+The deletion check takes F at its sub-instances from a table of its own and
+packs its whole difference lhs - rhs at one width, each deletion
+coefficient the product of two packed Gaussian coefficients.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
+from operator import add
 from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
@@ -61,6 +62,8 @@ class CyclicParams:
     exponent a k^2 + (2b-1) k(k-1)/2 with |k| <= n_1.
 
     Instances are immutable, and equal and hashed by (m, n, a, b, unsafe).
+    Those the package derives from validated ones, valid by construction,
+    are built by _derived without a second validation.
     """
 
     __slots__ = ("m", "n", "a", "b", "unsafe")
@@ -85,6 +88,13 @@ class CyclicParams:
             raise InvalidRange(f"a={a}, b={b} give a negative q-exponent for |k| <= {n[0]}")
         for name, value in zip(self.__slots__, (m, n, a, b, unsafe)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _derived(cls, *key: object) -> "CyclicParams":
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, key):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"CyclicParams is immutable, cannot assign {name}")
@@ -119,11 +129,7 @@ class CyclicParams:
 
     def in_theorem(self) -> bool:
         """True when (a, b) lies in the proven window and all m_i >= 1."""
-        return (
-            0 <= self.a <= self.s
-            and 1 <= self.b <= self.r
-            and all(mi >= 1 for mi in self.m)
-        )
+        return 0 <= self.a <= self.s and 1 <= self.b <= self.r and all(mi >= 1 for mi in self.m)
 
 
 def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
@@ -136,36 +142,42 @@ def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
 
 
 class _TermTable:
-    """The (a, b)-free part of F at (m, n): the nonzero (k, (-1)^k
-    cyclic_product(m, n, k) times the prefactor's Phi_d with e_d > 0), and
-    the division by its Phi_d with e_d < 0.  The terms and the divisor are
-    kept packed at one slot width, which holds the divisor's L1 norm and
-    the sum over k of the terms' largest coefficients, so every coefficient
-    of a sum of shifted terms."""
+    """The (a, b)-free part of F at (m, n): for each k with a nonzero term,
+    the factors whose product times (-1)^k is the term, and the division by
+    the prefactor's Phi_d with e_d < 0.  The terms and the divisor are kept
+    packed at one slot width, which holds the divisor's L1 norm and a bound
+    on every coefficient of a sum of shifted terms."""
 
-    __slots__ = ("terms", "divide", "packed")
+    __slots__ = ("ks", "lengths", "factors", "divide", "packed")
 
-    def __init__(self, terms: tuple[tuple[int, IntPoly], ...], divide: Division) -> None:
-        self.terms = terms
+    def __init__(self, terms: tuple[tuple[int, tuple[IntPoly, ...]], ...], divide: Division) -> None:
+        self.ks = [k for k, _ in terms]
+        self.factors = [[f.coeffs for f in factors] for _, factors in terms]
+        self.lengths = [sum(map(len, factors)) - len(factors) + 1 for factors in self.factors]
         self.divide = divide
-        bound = max(sum(max(map(abs, term.coeffs)) for _, term in terms), sum(map(abs, divide.divisor.coeffs)))
-        self.repack(slot_bytes(bound, True))
+        bound = 0
+        for factors in self.factors:
+            # Young's inequality ||f g||_inf <= ||f||_inf ||g||_1, with f the
+            # factor of least ||f||_inf / ||f||_1, bounds the term's coefficients
+            norms = [(max(map(abs, f)), sum(map(abs, f))) for f in factors]
+            total = prod([l1 for _, l1 in norms])
+            bound += min([top * (total // l1) for top, l1 in norms])
+        self.repack(slot_bytes(max(bound, sum(map(abs, divide.divisor.coeffs))), True))
 
     def repack(self, width: int) -> None:
-        """Pack the terms and the divisor at width bytes a slot, replacing
-        (width, packed terms, packed divisor) as one value."""
-        packed_terms = [pack(term.coeffs, width, True) for _, term in self.terms]
-        self.packed = (width, packed_terms, pack(self.divide.divisor.coeffs, width, True))
+        """Pack the terms, each the signed product of its packed factors, and
+        the divisor at width bytes a slot, as one value."""
+        terms = [prod([_packed_factor(f, width) for f in factors]) for factors in self.factors]
+        terms = [-term if k % 2 else term for k, term in zip(self.ks, terms)]
+        self.packed = (width, terms, pack(self.divide.divisor.coeffs, width, True))
 
     def evaluate(self, a: int, b: int) -> IntPoly:
         """The sum of the terms shifted by q^{a k^2 + (2b-1) k(k-1)/2},
-        divided: one packed sum and one packed_quotient.  A quotient that
-        does not fit its slot or fails its certificate repacks the table one
-        byte wider; a remainder means the division is not exact, and the
-        division of the unpacked sum then raises NotDivisible naming the
-        Phi_d exponent."""
-        shifts = [a * k * k + (2 * b - 1) * choose2(k) for k, _ in self.terms]
-        count = max(e + len(term.coeffs) for e, (_, term) in zip(shifts, self.terms))
+        divided: one packed sum and one packed_quotient, which raises
+        NotDivisible on a remainder.  A quotient that does not fit its slot
+        or fails its certificate repacks the table one byte wider."""
+        shifts = [a * k * k + (2 * b - 1) * choose2(k) for k in self.ks]
+        count = max(map(add, shifts, self.lengths))
         while True:
             width, packed_terms, packed_divisor = self.packed
             dividend = sum(packed << 8 * width * e for e, packed in zip(shifts, packed_terms))
@@ -175,26 +187,30 @@ class _TermTable:
                 self.repack(width + 1)
 
 
-# Five bounded caches.  The term table is reused within one (m, n) block of
-# a scan and by the few deletion sub-instance tables that block meets, so 16
-# tables suffice, and 16 values of delta.  F's 64 values cover a block's
-# instances and their reciprocity duals.  The deletion sub-instances
-# ((ell, m3, ...), n, a, b-1) recur only after a sweep over every m2, so
-# they have their own table of 4096 values, which holds all 2592 of the
-# r = s = 3, param-max 3 grid and keeps them from pushing the main
-# instances out of F's cache.  That grid packs 126 distinct deletion
-# coefficients, keyed by (m1, m2, m3, ell) and the slot width, and 256 are
-# kept.
+# Seven bounded caches.  A term table is reused within one (m, n) block of a
+# scan and by the few deletion sub-instance tables it meets, so 16 suffice,
+# and 16 values of delta.  The r = s = 4, param-max 3 grid packs 64 of the
+# 256 factors and splits 142 of the 256 prefactors.  F's 64 values cover a
+# block's instances and their duals.  The deletion sub-instances recur only
+# after a sweep over every m2; their own 4096 values hold all 2592 at r = s = 3.
+_split_prefactor = lru_cache(maxsize=256)(cyclotomic_split)
+
+
+@lru_cache(maxsize=256)
+def _packed_factor(coeffs: tuple[int, ...], width: int) -> int:
+    """The polynomial with these coefficients packed at width bytes a slot."""
+    return pack(coeffs, width, min(coeffs) < 0)
+
+
 @lru_cache(maxsize=16)
 def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> _TermTable:
-    n1 = n[0]
-    over, divide = cyclotomic_split((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]))
-    terms = []
-    for k in range(-n1, n1 + 1):
-        term = product((cyclic_product(m, n, k), *over))
-        if not term.is_zero():
-            terms.append((k, -term if k % 2 else term))
-    return _TermTable(tuple(terms), divide)
+    r, s, n1 = len(m), len(n), n[0]
+    over, divide = _split_prefactor((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]))
+    binoms = [(m[i] + m[(i + 1) % r] + 1, m[i]) for i in range(r)] + [(n[j] + n[(j + 1) % s], n[j]) for j in range(s)]
+    # gauss_binom(N, K + k) is nonzero exactly for -K <= k <= N - K
+    low, high = max(-K for _, K in binoms), min(n1, *(N - K for N, K in binoms))
+    terms = tuple((k, (*(gauss_binom(N, K + k) for N, K in binoms), *over)) for k in range(low, high + 1))
+    return _TermTable(terms, divide)
 
 
 def _evaluate(params: CyclicParams) -> IntPoly:
@@ -211,22 +227,18 @@ def F(params: CyclicParams) -> IntPoly:
 
 @lru_cache(maxsize=4096)
 def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int, unsafe: bool) -> IntPoly:
-    """F at a deletion sub-instance; like F, an exception is raised anew on
-    every call, never cached."""
-    return _evaluate(CyclicParams(m, n, a, b, unsafe))
+    """F at a deletion sub-instance, valid when derived from a valid instance
+    with b >= 2 (r - 1 >= 2 and a + 2(b - 1) >= 1); like F, an exception is
+    raised anew on every call, never cached."""
+    return _evaluate(CyclicParams._derived(m, n, a, b, unsafe))
 
 
 @lru_cache(maxsize=16)
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:
     """The reciprocity exponent; also an upper bound for deg F."""
     r, s = len(m), len(n)
-    d = (
-        choose2(m[0])
-        + choose2(n[0])
-        + choose2(m[-1] + n[-1] + 1)
-        - choose2(m[0] + m[-1] + 1)
-        - choose2(n[0] + n[-1])
-    )
+    d = choose2(m[0]) + choose2(n[0]) + choose2(m[-1] + n[-1] + 1)
+    d -= choose2(m[0] + m[-1] + 1) + choose2(n[0] + n[-1])
     d += sum(m[i] * (m[(i + 1) % r] + 1) for i in range(r))
     d += sum(n[j] * n[(j + 1) % s] for j in range(s))
     return d
@@ -244,30 +256,31 @@ def value_at_one_reference(params: CyclicParams) -> Fraction:
 
 @lru_cache(maxsize=16)
 def _value_at_one(m: tuple[int, ...], n: tuple[int, ...]) -> Fraction:
-    r, s = len(m), len(n)
-    n1 = n[0]
+    r, s, n1 = len(m), len(n), n[0]
     total = 0
     for k in range(-n1, n1 + 1):
-        prod = 1
+        term = 1
         for i in range(r):
-            prod *= _int_binom(m[i] + m[(i + 1) % r] + 1, m[i] + k)
+            term *= _int_binom(m[i] + m[(i + 1) % r] + 1, m[i] + k)
         for j in range(s):
-            prod *= _int_binom(n[j] + n[(j + 1) % s], n[j] + k)
-        total += -prod if k % 2 else prod
+            term *= _int_binom(n[j] + n[(j + 1) % s], n[j] + k)
+        total += -term if k % 2 else term
     return ratio_at_one((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1])) * total
 
 
 def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
     """Check that reversing F(s-a, r-b+1) at degree delta(m, n) recovers
     F(a, b), together with the degree bound making the reversal lossless."""
-    r, s = params.r, params.s
-    dual = CyclicParams(params.m, params.n, s - params.a, r - params.b + 1, params.unsafe)
-    p = F(params)
-    q = F(dual)
+    # an in-window instance's dual is in the window; an unsafe one's is validated
+    make = CyclicParams if params.unsafe else CyclicParams._derived
+    dual = make(params.m, params.n, params.s - params.a, params.r - params.b + 1, params.unsafe)
+    p, q = F(params), F(dual)
     bound = delta(params.m, params.n)
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     if q.degree is not None and q.degree > bound:
         return IdentityCheckResult("reciprocity", info, False, q)
+    if p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == (0,) * (bound + 1 - len(q.coeffs)) + q.coeffs[::-1]:
+        return IdentityCheckResult("reciprocity", info, True, ZERO)
     diff = q.reverse_to_degree(bound) - p
     return IdentityCheckResult("reciprocity", info, diff.is_zero(), diff)
 
@@ -303,11 +316,9 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     m, n, a, b, unsafe = params.m, params.n, params.a, params.b, params.unsafe
     m1, m2, m3 = m[:3]
     lhs = F(params).coeffs
-    subs = []
-    for ell in range(min(m1, m2) + 1):  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
-        sub = _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe).coeffs
-        if sub:
-            subs.append((ell, sub))
+    # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
+    subs = [(ell, _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe).coeffs) for ell in range(min(m1, m2) + 1)]
+    subs = [(ell, sub) for ell, sub in subs if sub]
     # lhs - rhs is packed at one width that bounds each of its coefficients;
     # a Gaussian coefficient is nonnegative, so its L1 norm is its value at 1
     bound = max(map(abs, lhs), default=0) + sum(
@@ -317,26 +328,16 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     diff = pack(lhs, width, True)
     count = len(lhs)
     for ell, sub in subs:
-        coef, length = _deletion_coefficient(m1, m2, m3, ell, width)
+        left, right = gauss_binom(m1, ell).coeffs, gauss_binom(m2 + m3 + 1, m2 - ell).coeffs
         e = ell * ell + ell
-        diff -= coef * pack(sub, width, True) << 8 * width * e
-        count = max(count, e + length + len(sub) - 1)
+        diff -= _packed_factor(left, width) * _packed_factor(right, width) * pack(sub, width, True) << 8 * width * e
+        count = max(count, e + len(left) + len(right) + len(sub) - 2)
     difference = IntPoly(unpack(diff, width, count, True)) if diff else ZERO
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     return IdentityCheckResult("deletion", info, not diff, difference)
 
 
-@lru_cache(maxsize=256)
-def _deletion_coefficient(m1: int, m2: int, m3: int, ell: int, width: int) -> tuple[int, int]:
-    """gauss_binom(m1, ell) gauss_binom(m2+m3+1, m2-ell) packed at width
-    bytes a slot, and its number of coefficients."""
-    coef = gauss_binom(m1, ell) * gauss_binom(m2 + m3 + 1, m2 - ell)
-    return pack(coef.coeffs, width, False), len(coef.coeffs)
-
-
-def recombine_check(
-    m: tuple[int, ...], n: tuple[int, ...], ell: int, k: int
-) -> IdentityCheckResult:
+def recombine_check(m: tuple[int, ...], n: tuple[int, ...], ell: int, k: int) -> IdentityCheckResult:
     """Check, after clearing denominators, that the cyclic product over
     (m3, ..., m_r) relates to the one over (ell, m3, ..., m_r) through the
     stated ratio of Pochhammer symbols.
@@ -345,8 +346,7 @@ def recombine_check(
     index goes negative is zero by convention.  No rational-function
     arithmetic is involved.
     """
-    m = tuple(m)
-    n = tuple(n)
+    m, n = tuple(m), tuple(n)
     if len(m) < 3:
         raise InvalidRange(f"recombine_check needs r >= 3, got r={len(m)}")
     if ell < 0:

@@ -297,7 +297,7 @@ class IntPoly:
 
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0 (membership in N[q])."""
-        return all(c >= 0 for c in self.coeffs)
+        return min(self.coeffs, default=0) >= 0
 
     def eval_at_one(self) -> int:
         """The sum of coefficients, i.e. the value at q = 1."""

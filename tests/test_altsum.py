@@ -1,9 +1,13 @@
 import pickle
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpositivity import altsum, catalan, cli, qcombinat, qpoly
 from qpositivity.altsum import (
@@ -98,6 +102,43 @@ class TestCyclicParams:
         with pytest.raises(InvalidRange):
             CyclicParams((1, 1), (1, 1), -1, 1, unsafe=True)
         CyclicParams((1, 1), (1, 1), 1, 0, unsafe=True)
+
+    def test_derived_instances_equal_validated_ones(self):
+        for key in [((1, 0, 2), (1, 2), 1, 2, False), ((2, 1), (3, 1), 4, 3, True), ((0, 3), (2, 2), 0, 1, False)]:
+            derived, validated = CyclicParams._derived(*key), CyclicParams(*key)
+            assert derived == validated and hash(derived) == hash(validated)
+            assert (derived.m, derived.n, derived.a, derived.b, derived.unsafe) == key
+            assert repr(derived) == repr(validated)
+            assert pickle.loads(pickle.dumps(derived)) == validated
+            for name in ("m", "a", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(derived, name, 0)
+            with pytest.raises(AttributeError):
+                del derived.b
+
+    def test_checks_do_not_validate_derived_instances(self, monkeypatch):
+        # in-window duals and deletion sub-instances are valid by construction
+        for cache in _altsum_caches():
+            cache.cache_clear()
+        params = [CyclicParams(m, n, a, b) for m, n, a, b in [
+            ((1, 2, 1), (1, 2), 1, 2), ((2, 0, 1, 3), (2, 1, 1), 3, 4), ((3, 1, 2), (1, 3), 0, 3),
+        ]]
+        validated = []
+        init = CyclicParams.__init__
+
+        def counted(self, *args, **kwargs):
+            validated.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CyclicParams, "__init__", counted)
+        for p in params:
+            assert reciprocity_check(p).passed and deletion_check(p).passed
+        assert validated == []
+
+    def test_unsafe_dual_is_validated(self):
+        # a = 3 > s = 2: the dual's a is s - a = -1
+        with pytest.raises(InvalidRange):
+            reciprocity_check(CyclicParams((1, 1), (1, 1), 3, 1, unsafe=True))
 
 
 class TestCyclicProduct:
@@ -195,6 +236,29 @@ class TestF:
         assert not params.in_theorem()
         assert F(params) == f_k_sum(m, n, a, b)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_hypothesis_equals_k_sum_oracle(self, data):
+        # r in 2..4, s in 2..3, m entries 0..3, n entries 1..3, and (a, b)
+        # in the window or anywhere past the exponent check
+        r, s = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 3))
+        m = tuple(data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+        n = tuple(data.draw(st.lists(st.integers(1, 3), min_size=s, max_size=s)))
+        unsafe = data.draw(st.booleans())
+        if unsafe:
+            a, b = data.draw(st.integers(0, s + 3)), data.draw(st.integers(0, r + 3))
+            if a + 2 * b < 1:
+                b = 1
+        else:
+            a, b = data.draw(st.integers(0, s)), data.draw(st.integers(1, r))
+        try:
+            expected = f_k_sum(m, n, a, b)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                F(CyclicParams(m, n, a, b, unsafe))
+        else:
+            assert F(CyclicParams(m, n, a, b, unsafe)) == expected
+
     def test_value_at_one_reference_agrees(self):
         for params in [
             CyclicParams((1, 1), (1, 1), 1, 2),
@@ -241,6 +305,32 @@ class TestReciprocity:
         bound = delta(params.m, params.n)
         assert poly.reverse_to_degree(bound) == poly
         assert reciprocity_check(params).passed
+
+    def test_failure_carries_the_exact_difference(self, monkeypatch):
+        # F perturbed at the duals only: the difference is the reversed dual
+        # minus F, as a polynomial; F's zero constant terms at a = 0 pass
+        body = altsum.F
+        grid = [CyclicParams(m, n, a, b) for m, n, a, b in [
+            ((1, 2), (2, 1), 0, 1), ((1, 1), (1, 1), 1, 2), ((2, 1, 1), (1, 1), 0, 3), ((1, 2), (2, 2), 2, 1),
+        ]]
+        assert body(grid[0]).coeffs[:2] == (0, 0)
+        for params in grid:
+            assert reciprocity_check(params).passed
+            assert reciprocity_check(params).difference == ZERO
+        for extra in (IntPoly([1]), IntPoly([0, -(2**70)]), IntPoly([0] * 5 + [3])):
+            for params in [CyclicParams(m, n, a, 1) for m, n, a in [((1, 2, 1), (2, 1), 0), ((1, 1, 2), (1, 1), 2)]]:
+                dual = CyclicParams(params.m, params.n, params.s - params.a, params.r)
+
+                def perturbed(p, extra=extra, dual=dual):
+                    return body(p) + extra if p == dual else body(p)
+
+                monkeypatch.setattr(altsum, "F", perturbed)
+                result = reciprocity_check(params)
+                monkeypatch.setattr(altsum, "F", body)
+                bound = delta(params.m, params.n)
+                expected = (F(dual) + extra).reverse_to_degree(bound) - F(params)
+                assert not result.passed
+                assert result.difference == expected != ZERO
 
 
 class TestProductIdentity:
@@ -343,24 +433,55 @@ class TestPositivityGridSample:
 
 
 class TestTermTable:
-    def test_scan_builds_each_cyclic_product_once(self, monkeypatch, tmp_path):
+    def test_scan_builds_each_table_once(self, monkeypatch, tmp_path):
         for cache in _altsum_caches():
             cache.cache_clear()
-        calls = {}
-        build = altsum.cyclic_product
+        calls = Counter()
+        tables = []
+        build = altsum._term_table.__wrapped__
 
-        def counted(m, n, k):
-            calls[m, n, k] = calls.get((m, n, k), 0) + 1
-            return build(m, n, k)
+        @lru_cache(maxsize=16)
+        def counted(m, n):
+            calls[m, n] += 1
+            tables.append(build(m, n))
+            return tables[-1]
 
-        monkeypatch.setattr(altsum, "cyclic_product", counted)
+        monkeypatch.setattr(altsum, "_term_table", counted)
         argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2",
                 "--checks", "positivity,reciprocity,degree-bound", "--out", str(tmp_path / "report.jsonl")]
         assert main(argv) == 0
-        # one call per distinct (m, n, k): 2 n_1 + 1 for each (m, n), whatever (a, b)
+        # one table per distinct (m, n), whatever (a, b), holding a term for
+        # each k with -n_1 <= k <= n_1 whose cyclic product is not zero
         pairs = list(product(product((1, 2), repeat=2), repeat=2))
-        assert sum(calls.values()) == sum(2 * n[0] + 1 for _, n in pairs) == 64
+        assert sum(calls.values()) == len(pairs) == 16
+        assert set(calls) == set(pairs)
         assert set(calls.values()) == {1}
+        nonzero = [(m, n, k) for m, n in pairs for k in range(-n[0], n[0] + 1) if cyclic_product(m, n, k)]
+        assert sum(len(table.ks) for table in tables) == len(nonzero) == 53
+
+    def test_table_build_makes_no_polynomial_product(self, monkeypatch):
+        # the Gaussian coefficients, Phi_d and prefactor splits come from
+        # their caches; a table multiplies packed integers only.  The pairs
+        # have no Phi_d over their prefactor, one, and two with a divisor.
+        pairs = [((2, 3, 1), (2, 1, 3)), ((0, 2, 1), (1, 3, 2)), ((0, 1, 2), (1, 2)), ((3, 0, 2, 1), (2, 2))]
+        ab = [(a, b) for a in range(3) for b in range(1, 3)]
+        expected = {(m, n, a, b): f_k_sum(m, n, a, b) for m, n in pairs for a, b in ab}
+        for m, n in pairs:
+            altsum._term_table(m, n)
+        assert [len(qcombinat.cyclotomic_split(*_prefactor(m, n))[0]) for m, n in pairs] == [0, 1, 2, 0]
+
+        def forbidden(*args):
+            raise AssertionError("a polynomial product in a table build")
+
+        for module, name in [(altsum, "cyclic_product"), (altsum, "product"), (qcombinat, "product"),
+                             (qpoly, "product"), (qpoly, "product_sum")]:
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(IntPoly, "__mul__", forbidden)
+        altsum._term_table.cache_clear()
+        for (m, n, a, b), value in expected.items():
+            assert altsum._term_table(m, n).evaluate(a, b) == value
+        monkeypatch.undo()
+        altsum._term_table.cache_clear()
 
     def test_caches_are_bounded(self):
         for module in (qcombinat, catalan, altsum, cli):
@@ -475,23 +596,35 @@ class TestTermTable:
     def test_table_width_holds_the_sum_of_the_terms(self):
         # at a = 0, b = 1 the k = 0 and k = 1 terms both have shift 0, and
         # their sum 200 + 2q needs a second byte that neither term needs
-        table = altsum._TermTable(((0, P(100, 1)), (1, P(100, 1))), Division())
+        # (the k = 1 factor is negated, so its term is 100 + q too)
+        table = altsum._TermTable(((0, (P(100, 1),)), (1, (P(-100, -1),))), Division())
         assert table.packed[0] == 2
         assert table.evaluate(0, 1) == P(200, 2)
 
+    def test_table_width_holds_the_products_of_the_factors(self):
+        # (1 + q)^10 reaches 252, which no factor nor a one-byte slot holds;
+        # packed at one byte, the sum would unpack to other coefficients
+        table = altsum._TermTable(((0, (P(1, 1),) * 10),), Division())
+        assert table.packed[0] == 2
+        assert table.evaluate(0, 1) == IntPoly(comb(10, i) for i in range(11))
+
     def test_table_repacks_for_a_wide_quotient(self):
-        # one byte holds the dividend 39 - 2q - ... - 2q^39 + 39q^40 and
-        # ||(1 - q)^2||_1, but not the quotient, whose coefficients reach 400
-        quotient, divisor = IntPoly((i + 1) * (39 - i) for i in range(39)), P(1, -2, 1)
-        table = altsum._TermTable(((0, quotient * divisor),), Division(divisor, "Φ_1 exponent -2"))
+        # one byte holds the dividend (1 - q^40)^2 and the divisor (1 - q)^2,
+        # both of L1 norm 4, but the quotient's coefficients reach 40, and
+        # 40 * 4 is not below half a byte, so the certificate fails
+        factor, divisor = IntPoly([1] + [0] * 39 + [-1]), P(1, -2, 1)
+        quotient = IntPoly([1] * 40) * IntPoly([1] * 40)
+        assert max(quotient.coeffs) == 40
+        table = altsum._TermTable(((0, (factor, factor)),), Division(divisor, "Φ_1 exponent -2"))
         assert table.packed[0] == 1
         assert table.evaluate(0, 1) == quotient
         assert table.packed[0] == 2
 
     def test_table_failure_carries_the_remainder_and_the_exponent(self):
-        # 1 + 2q + 3q at a = 1 is 1 + 5q = 5(1 + q) - 4
+        # 1 + 2q + 3q at a = 1 is 1 + 5q = 5(1 + q) - 4 (the k = 1 factor
+        # is -3, so its term is 3)
         divide = Division(P(1, 1), "Φ_2 exponent -1")
-        table = altsum._TermTable(((0, P(1, 2)), (1, P(3))), divide)
+        table = altsum._TermTable(((0, (P(1, 2),)), (1, (P(-3),))), divide)
         with pytest.raises(NotDivisible, match="Φ_2 exponent -1") as exc:
             table.evaluate(1, 1)
         assert exc.value.remainder == P(-4)
@@ -513,3 +646,7 @@ def _caches(module):
 
 def _altsum_caches():
     return _caches(altsum)
+
+
+def _prefactor(m, n):
+    return (m[0], n[0], m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n[0] + n[-1])

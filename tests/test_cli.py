@@ -302,6 +302,19 @@ def test_scan_f_digest(tmp_path):
     )
 
 
+def test_scan_f_out_of_window_digest(tmp_path):
+    # m_i = 0, a > s, b > r and the validated unsafe dual, which the golden
+    # reports and the in-window digest do not reach: 3888 rows, many failing
+    out = tmp_path / "f.jsonl"
+    argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2", "--m-min", "0",
+            "--a", "0,1,2,3,4,5", "--b", "1,2,3,4,5,6", "--unsafe-params",
+            "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization"]
+    assert main(argv + ["--format", "jsonl", "--out", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c7fc7bceba4d7b591334d623777c72a1ce2f7a05599b2174d3696ab659452de1"
+    )
+
+
 # -- the exit-code contract on arbitrary argv ----------------------------------
 
 SMALL = st.integers(-2, 4)
