@@ -129,16 +129,25 @@ class CyclicParams:
 
     def in_theorem(self) -> bool:
         """True when (a, b) lies in the proven window and all m_i >= 1."""
-        return 0 <= self.a <= self.s and 1 <= self.b <= self.r and all(mi >= 1 for mi in self.m)
+        return (
+            0 <= self.a <= self.s
+            and 1 <= self.b <= self.r
+            and all(mi >= 1 for mi in self.m)
+        )
 
 
 def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
     """prod_i gauss_binom(m_i+m_{i+1}+1, m_i+k) * prod_j gauss_binom(n_j+n_{j+1}, n_j+k),
     with wraparound m_{r+1} = m_1, n_{s+1} = n_1."""
+    return product([gauss_binom(N, K + k) for N, K in _cyclic_binoms(m, n)])
+
+
+def _cyclic_binoms(m: tuple[int, ...], n: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (N, K) whose gauss_binom(N, K + k) are the factors of cyclic_product(m, n, k)."""
     r, s = len(m), len(n)
-    factors = [gauss_binom(m[i] + m[(i + 1) % r] + 1, m[i] + k) for i in range(r)]
-    factors += [gauss_binom(n[j] + n[(j + 1) % s], n[j] + k) for j in range(s)]
-    return product(factors)
+    return [(m[i] + m[(i + 1) % r] + 1, m[i]) for i in range(r)] + [
+        (n[j] + n[(j + 1) % s], n[j]) for j in range(s)
+    ]
 
 
 class _TermTable:
@@ -204,13 +213,13 @@ def _packed_factor(coeffs: tuple[int, ...], width: int) -> int:
 
 @lru_cache(maxsize=16)
 def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> _TermTable:
-    r, s, n1 = len(m), len(n), n[0]
+    n1 = n[0]
     over, divide = _split_prefactor((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]))
-    binoms = [(m[i] + m[(i + 1) % r] + 1, m[i]) for i in range(r)] + [(n[j] + n[(j + 1) % s], n[j]) for j in range(s)]
+    binoms = _cyclic_binoms(m, n)
     # gauss_binom(N, K + k) is nonzero exactly for -K <= k <= N - K
     low, high = max(-K for _, K in binoms), min(n1, *(N - K for N, K in binoms))
-    terms = tuple((k, (*(gauss_binom(N, K + k) for N, K in binoms), *over)) for k in range(low, high + 1))
-    return _TermTable(terms, divide)
+    terms = [(k, (*(gauss_binom(N, K + k) for N, K in binoms), *over)) for k in range(low, high + 1)]
+    return _TermTable(tuple(terms), divide)
 
 
 def _evaluate(params: CyclicParams) -> IntPoly:
@@ -237,8 +246,13 @@ def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int, unsafe
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:
     """The reciprocity exponent; also an upper bound for deg F."""
     r, s = len(m), len(n)
-    d = choose2(m[0]) + choose2(n[0]) + choose2(m[-1] + n[-1] + 1)
-    d -= choose2(m[0] + m[-1] + 1) + choose2(n[0] + n[-1])
+    d = (
+        choose2(m[0])
+        + choose2(n[0])
+        + choose2(m[-1] + n[-1] + 1)
+        - choose2(m[0] + m[-1] + 1)
+        - choose2(n[0] + n[-1])
+    )
     d += sum(m[i] * (m[(i + 1) % r] + 1) for i in range(r))
     d += sum(n[j] * n[(j + 1) % s] for j in range(s))
     return d
@@ -256,14 +270,10 @@ def value_at_one_reference(params: CyclicParams) -> Fraction:
 
 @lru_cache(maxsize=16)
 def _value_at_one(m: tuple[int, ...], n: tuple[int, ...]) -> Fraction:
-    r, s, n1 = len(m), len(n), n[0]
+    n1, binoms = n[0], _cyclic_binoms(m, n)
     total = 0
     for k in range(-n1, n1 + 1):
-        term = 1
-        for i in range(r):
-            term *= _int_binom(m[i] + m[(i + 1) % r] + 1, m[i] + k)
-        for j in range(s):
-            term *= _int_binom(n[j] + n[(j + 1) % s], n[j] + k)
+        term = prod(_int_binom(N, K + k) for N, K in binoms)
         total += -term if k % 2 else term
     return ratio_at_one((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1])) * total
 
@@ -279,10 +289,10 @@ def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     if q.degree is not None and q.degree > bound:
         return IdentityCheckResult("reciprocity", info, False, q)
-    if p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == (0,) * (bound + 1 - len(q.coeffs)) + q.coeffs[::-1]:
-        return IdentityCheckResult("reciprocity", info, True, ZERO)
-    diff = q.reverse_to_degree(bound) - p
-    return IdentityCheckResult("reciprocity", info, diff.is_zero(), diff)
+    # the difference is built only when the coefficients differ
+    reversed_q = (0,) * (bound + 1 - len(q.coeffs)) + q.coeffs[::-1]
+    same = p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == reversed_q
+    return IdentityCheckResult("reciprocity", info, same, ZERO if same else q.reverse_to_degree(bound) - p)
 
 
 def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
@@ -316,9 +326,11 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     m, n, a, b, unsafe = params.m, params.n, params.a, params.b, params.unsafe
     m1, m2, m3 = m[:3]
     lhs = F(params).coeffs
-    # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
-    subs = [(ell, _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe).coeffs) for ell in range(min(m1, m2) + 1)]
-    subs = [(ell, sub) for ell, sub in subs if sub]
+    subs = []
+    for ell in range(min(m1, m2) + 1):  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
+        sub = _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe).coeffs
+        if sub:
+            subs.append((ell, sub))
     # lhs - rhs is packed at one width that bounds each of its coefficients;
     # a Gaussian coefficient is nonnegative, so its L1 norm is its value at 1
     bound = max(map(abs, lhs), default=0) + sum(
@@ -330,14 +342,17 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     for ell, sub in subs:
         left, right = gauss_binom(m1, ell).coeffs, gauss_binom(m2 + m3 + 1, m2 - ell).coeffs
         e = ell * ell + ell
-        diff -= _packed_factor(left, width) * _packed_factor(right, width) * pack(sub, width, True) << 8 * width * e
+        coef = _packed_factor(left, width) * _packed_factor(right, width)
+        diff -= coef * pack(sub, width, True) << 8 * width * e
         count = max(count, e + len(left) + len(right) + len(sub) - 2)
     difference = IntPoly(unpack(diff, width, count, True)) if diff else ZERO
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     return IdentityCheckResult("deletion", info, not diff, difference)
 
 
-def recombine_check(m: tuple[int, ...], n: tuple[int, ...], ell: int, k: int) -> IdentityCheckResult:
+def recombine_check(
+    m: tuple[int, ...], n: tuple[int, ...], ell: int, k: int
+) -> IdentityCheckResult:
     """Check, after clearing denominators, that the cyclic product over
     (m3, ..., m_r) relates to the one over (ell, m3, ..., m_r) through the
     stated ratio of Pochhammer symbols.
@@ -346,7 +361,8 @@ def recombine_check(m: tuple[int, ...], n: tuple[int, ...], ell: int, k: int) ->
     index goes negative is zero by convention.  No rational-function
     arithmetic is involved.
     """
-    m, n = tuple(m), tuple(n)
+    m = tuple(m)
+    n = tuple(n)
     if len(m) < 3:
         raise InvalidRange(f"recombine_check needs r >= 3, got r={len(m)}")
     if ell < 0:

@@ -1,7 +1,6 @@
 import pickle
 import random
 from collections import Counter
-from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -434,30 +433,31 @@ class TestPositivityGridSample:
 
 class TestTermTable:
     def test_scan_builds_each_table_once(self, monkeypatch, tmp_path):
-        for cache in _altsum_caches():
-            cache.cache_clear()
-        calls = Counter()
-        tables = []
-        build = altsum._term_table.__wrapped__
-
-        @lru_cache(maxsize=16)
-        def counted(m, n):
-            calls[m, n] += 1
-            tables.append(build(m, n))
-            return tables[-1]
-
-        monkeypatch.setattr(altsum, "_term_table", counted)
-        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2",
-                "--checks", "positivity,reciprocity,degree-bound", "--out", str(tmp_path / "report.jsonl")]
-        assert main(argv) == 0
         # one table per distinct (m, n), whatever (a, b), holding a term for
         # each k with -n_1 <= k <= n_1 whose cyclic product is not zero
         pairs = list(product(product((1, 2), repeat=2), repeat=2))
-        assert sum(calls.values()) == len(pairs) == 16
-        assert set(calls) == set(pairs)
-        assert set(calls.values()) == {1}
+        expected = []
+        for m, n in pairs:
+            table = altsum._term_table.__wrapped__(m, n)
+            expected.append((tuple(table.ks), tuple(map(tuple, table.factors))))
+        for cache in _altsum_caches():
+            cache.cache_clear()
+        builds = Counter()
+
+        class Counted(altsum._TermTable):
+            def __init__(self, terms, divide):
+                super().__init__(terms, divide)
+                builds[tuple(self.ks), tuple(map(tuple, self.factors))] += 1
+
+        # the cached _term_table looks _TermTable up at each build
+        monkeypatch.setattr(altsum, "_TermTable", Counted)
+        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2",
+                "--checks", "positivity,reciprocity,degree-bound", "--out", str(tmp_path / "report.jsonl")]
+        assert main(argv) == 0
+        assert sum(builds.values()) == len(pairs) == len(set(expected)) == 16
+        assert builds == Counter(expected)
         nonzero = [(m, n, k) for m, n in pairs for k in range(-n[0], n[0] + 1) if cyclic_product(m, n, k)]
-        assert sum(len(table.ks) for table in tables) == len(nonzero) == 53
+        assert sum(len(ks) for ks, _ in builds) == len(nonzero) == 53
 
     def test_table_build_makes_no_polynomial_product(self, monkeypatch):
         # the Gaussian coefficients, Phi_d and prefactor splits come from
