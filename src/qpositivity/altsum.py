@@ -270,11 +270,16 @@ def value_at_one_reference(params: CyclicParams) -> Fraction:
 
 @lru_cache(maxsize=16)
 def _value_at_one(m: tuple[int, ...], n: tuple[int, ...]) -> Fraction:
-    n1, binoms = n[0], _cyclic_binoms(m, n)
+    r, s = len(m), len(n)
+    n1 = n[0]
     total = 0
     for k in range(-n1, n1 + 1):
-        term = prod(_int_binom(N, K + k) for N, K in binoms)
-        total += -term if k % 2 else term
+        prod = 1
+        for i in range(r):
+            prod *= _int_binom(m[i] + m[(i + 1) % r] + 1, m[i] + k)
+        for j in range(s):
+            prod *= _int_binom(n[j] + n[(j + 1) % s], n[j] + k)
+        total += -prod if k % 2 else prod
     return ratio_at_one((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1])) * total
 
 
