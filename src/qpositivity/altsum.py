@@ -40,6 +40,7 @@ recombination step that recurrence relies on.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -51,7 +52,7 @@ from .qcombinat import q_poch, q_ratio, ratio_at_one
 from .qpoly import IntPoly, ZERO, pack, packed_quotient, product, shifted_sum, slot_bytes, unpack
 
 
-class CyclicParams:
+class CyclicParams(namedtuple("CyclicParams", "m n a b unsafe")):
     """Parameters (m-vector, n-vector, a, b) of the alternating sum F.
 
     Validation is strict here and nowhere else: r, s >= 2, every m_i >= 0,
@@ -61,14 +62,15 @@ class CyclicParams:
     and is rejected outright), and so does the nonnegativity of every
     exponent a k^2 + (2b-1) k(k-1)/2 with |k| <= n_1.
 
-    Instances are immutable, and equal and hashed by (m, n, a, b, unsafe).
-    Those the package derives from validated ones, valid by construction,
-    are built by _derived without a second validation.
+    A named tuple (m, n, a, b, unsafe): immutable, and equal, hashed and
+    pickled as that tuple; unpickling validates again.  Instances valid by
+    construction, such as those the package derives from validated ones,
+    are built by _make((m, n, a, b, unsafe)), which skips the validation.
     """
 
-    __slots__ = ("m", "n", "a", "b", "unsafe")
+    __slots__ = ()
 
-    def __init__(self, m: Iterable[int], n: Iterable[int], a: int, b: int, unsafe: bool = False) -> None:
+    def __new__(cls, m: Iterable[int], n: Iterable[int], a: int, b: int, unsafe: bool = False) -> "CyclicParams":
         m, n = tuple(m), tuple(n)
         r, s = len(m), len(n)
         if r < 2 or s < 2:
@@ -86,38 +88,7 @@ class CyclicParams:
         # whenever it is >= 0 at k = +-1, where it is a and a + 2b - 1
         if a < 0 or a + 2 * b < 1:
             raise InvalidRange(f"a={a}, b={b} give a negative q-exponent for |k| <= {n[0]}")
-        for name, value in zip(self.__slots__, (m, n, a, b, unsafe)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _derived(cls, *key: object) -> "CyclicParams":
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, key):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"CyclicParams is immutable, cannot assign {name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"CyclicParams is immutable, cannot delete {name}")
-
-    def _key(self) -> tuple:
-        return (self.m, self.n, self.a, self.b, self.unsafe)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "CyclicParams(m={!r}, n={!r}, a={!r}, b={!r}, unsafe={!r})".format(*self._key())
-
-    def __reduce__(self) -> tuple:
-        return (CyclicParams, self._key())
+        return super().__new__(cls, m, n, a, b, unsafe)
 
     @property
     def r(self) -> int:
@@ -239,7 +210,7 @@ def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int, unsafe
     """F at a deletion sub-instance, valid when derived from a valid instance
     with b >= 2 (r - 1 >= 2 and a + 2(b - 1) >= 1); like F, an exception is
     raised anew on every call, never cached."""
-    return _evaluate(CyclicParams._derived(m, n, a, b, unsafe))
+    return _evaluate(CyclicParams._make((m, n, a, b, unsafe)))
 
 
 @lru_cache(maxsize=16)
@@ -286,9 +257,15 @@ def _value_at_one(m: tuple[int, ...], n: tuple[int, ...]) -> Fraction:
 def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
     """Check that reversing F(s-a, r-b+1) at degree delta(m, n) recovers
     F(a, b), together with the degree bound making the reversal lossless."""
+    key = (params.m, params.n, params.s - params.a, params.r - params.b + 1, params.unsafe)
     # an in-window instance's dual is in the window; an unsafe one's is validated
-    make = CyclicParams if params.unsafe else CyclicParams._derived
-    dual = make(params.m, params.n, params.s - params.a, params.r - params.b + 1, params.unsafe)
+    try:
+        dual = CyclicParams(*key) if params.unsafe else CyclicParams._make(key)
+    except InvalidRange:
+        raise InvalidRange(
+            f"the reciprocity dual (s-a, r-b+1) = ({key[2]}, {key[3]}) of a={params.a}, b={params.b}"
+            " is out of range"
+        ) from None
     p, q = F(params), F(dual)
     bound = delta(params.m, params.n)
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
@@ -374,16 +351,12 @@ def recombine_check(
         raise InvalidRange(f"recombine_check needs ell >= 0, got {ell}")
     tail = m[2:]
     m3, mr = tail[0], tail[-1]
-    left = cyclic_product(tail, n, k)
-    if not left.is_zero():
-        left = left * q_poch(m3 + ell + 1) * q_poch(mr + ell + 1)
+    left = product([cyclic_product(tail, n, k), q_poch(m3 + ell + 1), q_poch(mr + ell + 1)])
     idxs = (ell - k + 1, ell + k, mr + m3 + 1)
     if any(u < 0 for u in idxs):
         right = ZERO
     else:
-        right = cyclic_product((ell,) + tail, n, k)
-        for u in idxs:
-            right = right * q_poch(u)
+        right = product([cyclic_product((ell,) + tail, n, k), *map(q_poch, idxs)])
     diff = left - right
     info = {"m": m, "n": n, "ell": ell, "k": k}
     return IdentityCheckResult("recombine", info, diff.is_zero(), diff)

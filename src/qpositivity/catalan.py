@@ -103,10 +103,10 @@ def double_expansion_check(N: int, h: int) -> IdentityCheckResult:
     if N < 0 or h < 1:
         raise InvalidRange(f"double_expansion_check({N}, {h}) requires N >= 0, h >= 1")
     lhs = gauss_binom(2 * N + 2 * h, h - 1)
-    rhs = shifted_sum(
+    rhs = product_sum(
         (
             k * (N + k + 1) + j * (N + j + 1),
-            gauss_binom(N + h, j) * gauss_binom(j, k) * gauss_binom(N + h - j, h - j - k - 1),
+            [gauss_binom(N + h, j), gauss_binom(j, k), gauss_binom(N + h - j, h - j - k - 1)],
         )
         for k in range((h - 1) // 2 + 1)
         for j in range(k, h - k)

@@ -185,7 +185,8 @@ def _pair_grid(family: str, args: argparse.Namespace) -> list[tuple[int, int]]:
 
 
 def _f_grid(args: argparse.Namespace) -> Iterator[CyclicParams]:
-    """The instances of an F scan, in report order; the grid is validated at once."""
+    """The instances of an F scan, in report order.  The grid is validated at
+    once, so its instances are built without a second validation."""
     if args.r is None or args.s is None or args.param_max is None:
         raise InvalidRange("scan of F needs --r, --s and --param-max")
     if args.r < 2 or args.s < 2 or args.param_max < 1 or args.m_min < 0:
@@ -199,8 +200,9 @@ def _f_grid(args: argparse.Namespace) -> Iterator[CyclicParams]:
         product(range(1, args.param_max + 1), repeat=args.s),
         a_values,
         b_values,
+        (args.unsafe_params,),
     )
-    return (CyclicParams(m, n, a, b, args.unsafe_params) for m, n, a, b in grid)
+    return map(CyclicParams._make, grid)
 
 
 def _rows(family: str, instances: Iterable[Any], checks: list[str]) -> Iterator[dict[str, Any]]:

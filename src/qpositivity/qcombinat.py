@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Any
+from typing import Any, NamedTuple
 
 from .qpoly import IntPoly, NotDivisible, ONE, ZERO, product
 
@@ -31,29 +31,17 @@ class InvalidRange(Exception):
     """Parameters outside an operation's stated domain."""
 
 
-class IdentityCheckResult:
+class IdentityCheckResult(NamedTuple):
     """Outcome of verifying a named identity at one parameter point.
 
     `difference` is the polynomial LHS - RHS; it is zero exactly when the
     check passed.
     """
 
-    __slots__ = ("identity", "params", "passed", "difference")
-
-    def __init__(self, identity: str, params: dict[str, Any], passed: bool, difference: IntPoly) -> None:
-        self.identity = identity
-        self.params = params
-        self.passed = passed
-        self.difference = difference
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"IdentityCheckResult({fields})"
+    identity: str
+    params: dict[str, Any]
+    passed: bool
+    difference: IntPoly
 
 
 def q_int(n: int) -> IntPoly:

@@ -20,18 +20,18 @@ raises OverflowError.  A polynomial with a negative coefficient is packed
 with every slot raised by half a slot, which is then subtracted exactly, and
 a signed result is unpacked the same way, so a product costs one pack per
 operand, one bignum multiply and one unpack (Harvey, J. Symbolic Comput. 44,
-2009).  `*` takes this path when both operands have more than
-_SCHOOLBOOK_CUTOFF coefficients.
+2009).
 
 product_sum(terms) builds a sum of shifted products, q**e times a product
 of factors per term: it packs every factor once, at a width that holds the
 sum over the terms of the product of their factors' L1 norms, multiplies
 each term's packed integers as a balanced tree, shifts it by e whole slots,
-adds the integers and unpacks once.  product(factors) packs one such term.
-A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is built by
-schoolbook convolution instead: product multiplies the factors' coefficient
-tuples in a chain, shortest first, and makes one IntPoly, and product_sum
-takes the shifted_sum of such products.
+adds the integers and unpacks once.  product(factors) packs one such term,
+and `*` is the product of its two operands.  A result of at most
+_SHORT_PRODUCT coefficients is built by schoolbook convolution instead:
+product multiplies the factors' coefficient tuples in a chain, shortest
+first, and makes one IntPoly, and product_sum takes the shifted_sum of such
+products.
 
 packed_quotient(dividend, ...) divides a polynomial that is already packed
 by a monic one with one divmod, and certifies the unpacked quotient by a
@@ -64,11 +64,10 @@ class DegreeExceedsBound(Exception):
     """The polynomial's degree is larger than the requested reversal bound."""
 
 
-# Below this operand length schoolbook convolution beats packing.  For a
-# product of several factors, packing won from results of about 22-30
-# coefficients on, timed on the products the benchmark workloads make, so
-# shorter results are built by schoolbook `*`.
-_SCHOOLBOOK_CUTOFF = 16
+# A product of at most this many result coefficients is built by schoolbook
+# convolution: packing won from results of about 22-30 coefficients on,
+# timed on the products the benchmark workloads make.
+_SHORT_PRODUCT = 32
 
 
 def slot_bytes(bound: int, signed: bool) -> int:
@@ -238,12 +237,7 @@ class IntPoly:
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not isinstance(other, IntPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        if min(len(a), len(b)) <= _SCHOOLBOOK_CUTOFF:
-            return IntPoly(_schoolbook(a, b))
-        return _kronecker_mul(a, b)
+        return product((self, other))
 
     def shift(self, e: int) -> "IntPoly":
         """Multiply by q**e (e >= 0)."""
@@ -366,18 +360,10 @@ def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    a_signed, b_signed = min(a) < 0, min(b) < 0
-    signed = a_signed or b_signed
-    width = slot_bytes(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)), signed)
-    packed = pack(a, width, a_signed) * pack(b, width, b_signed)
-    return IntPoly(unpack(packed, width, len(a) + len(b) - 1, signed))
-
-
 def product(factors: Iterable[IntPoly]) -> IntPoly:
     """The product of factors; ONE for none.
 
-    A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is a chain of
+    A result of at most _SHORT_PRODUCT coefficients is a chain of
     schoolbook convolutions of the coefficient tuples, shortest first.  A
     longer one is packed, at a slot width holding the product of the
     factors' L1 norms, which bounds every coefficient of the result."""
@@ -387,7 +373,7 @@ def product(factors: Iterable[IntPoly]) -> IntPoly:
     polys = [f.coeffs for f in factors]
     if not all(polys):
         return ZERO
-    if _product_length(polys) <= 2 * _SCHOOLBOOK_CUTOFF:
+    if _product_length(polys) <= _SHORT_PRODUCT:
         return IntPoly(reduce(_schoolbook, sorted(polys, key=len)))
     return _packed_sum([(0, polys)], prod(sum(map(abs, p)) for p in polys))
 
@@ -396,7 +382,7 @@ def product_sum(terms: Iterable[tuple[int, Iterable[IntPoly]]]) -> IntPoly:
     """The sum of q**e * product(factors) over the (e, factors) pairs
     (e >= 0); a term with a zero factor is skipped whatever its e.
 
-    A result of at most 2 * _SCHOOLBOOK_CUTOFF coefficients is the
+    A result of at most _SHORT_PRODUCT coefficients is the
     shifted_sum of the terms' products.  A longer one is packed, every factor
     once, at a slot width holding the sum over the terms of the product of
     their factors' L1 norms, which bounds every coefficient of the result:
@@ -413,7 +399,7 @@ def product_sum(terms: Iterable[tuple[int, Iterable[IntPoly]]]) -> IntPoly:
         kept.append((e, factors, polys))
     if not kept:
         return ZERO
-    if max(e + _product_length(polys) for e, _, polys in kept) <= 2 * _SCHOOLBOOK_CUTOFF:
+    if max(e + _product_length(polys) for e, _, polys in kept) <= _SHORT_PRODUCT:
         return shifted_sum((e, product(factors)) for e, factors, _ in kept)
     bound = sum(prod(sum(map(abs, p)) for p in polys) for _, _, polys in kept)
     return _packed_sum([(e, polys) for e, _, polys in kept], bound)

@@ -104,7 +104,7 @@ class TestCyclicParams:
 
     def test_derived_instances_equal_validated_ones(self):
         for key in [((1, 0, 2), (1, 2), 1, 2, False), ((2, 1), (3, 1), 4, 3, True), ((0, 3), (2, 2), 0, 1, False)]:
-            derived, validated = CyclicParams._derived(*key), CyclicParams(*key)
+            derived, validated = CyclicParams._make(key), CyclicParams(*key)
             assert derived == validated and hash(derived) == hash(validated)
             assert (derived.m, derived.n, derived.a, derived.b, derived.unsafe) == key
             assert repr(derived) == repr(validated)
@@ -123,13 +123,13 @@ class TestCyclicParams:
             ((1, 2, 1), (1, 2), 1, 2), ((2, 0, 1, 3), (2, 1, 1), 3, 4), ((3, 1, 2), (1, 3), 0, 3),
         ]]
         validated = []
-        init = CyclicParams.__init__
+        new = CyclicParams.__new__
 
-        def counted(self, *args, **kwargs):
+        def counted(cls, *args, **kwargs):
             validated.append(args)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(CyclicParams, "__init__", counted)
+        monkeypatch.setattr(CyclicParams, "__new__", counted)
         for p in params:
             assert reciprocity_check(p).passed and deletion_check(p).passed
         assert validated == []

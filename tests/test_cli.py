@@ -83,6 +83,14 @@ class TestVerify:
     def test_invalid_identity_params(self, capsys):
         assert main(["verify", "double-expansion", "--N", "3", "--h", "0"]) == 2
 
+    def test_out_of_range_reciprocity_dual_is_named(self, capsys):
+        # a = 9 > s = 2 is allowed with --unsafe-params, but the dual's a is
+        # s - a = -7; the message names the dual, not values never passed
+        argv = ["verify", "reciprocity", "--m", "1,1", "--n", "1,1", "--a", "9", "--b", "1", "--unsafe-params"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: the reciprocity dual (s-a, r-b+1) = (-7, 2) of a=9, b=1 is out of range\n"
+
 
 class TestScan:
     def test_scan_a_trivial(self, capsys):
@@ -184,6 +192,24 @@ class TestScan:
                      "--unsafe-params", "--out", str(out)]) == 2
         assert "negative q-exponent" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_is_validated_once_per_a_b(self, monkeypatch, capsys):
+        # _f_grid validates one instance per (a, b) and builds the grid's
+        # instances without a second validation; in-window duals and
+        # deletion sub-instances are not validated either
+        validated = []
+        new = CyclicParams.__new__
+
+        def counted(cls, *args, **kwargs):
+            validated.append(args[2:4])
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CyclicParams, "__new__", counted)
+        argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2",
+                "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2**3 * 2**2 * 3 * 3
+        assert validated == [(a, b) for a in range(3) for b in range(1, 4)]
 
     def test_unwritable_out_is_invalid_input(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "report.jsonl"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpositivity.qcombinat import Division
 from qpositivity.qpoly import (
-    _SCHOOLBOOK_CUTOFF,
+    _SHORT_PRODUCT,
     DegreeExceedsBound,
     IntPoly,
     NotDivisible,
@@ -72,13 +72,13 @@ long_polys = st.builds(
 @st.composite
 def product_terms(draw):
     """(e, factors) terms for product_sum: up to 4 terms of 1 to 3 kernel
-    operands, a ZERO factor now and then, shifts from 0 past 2 * cutoff."""
+    operands, a ZERO factor now and then, shifts from 0 past _SHORT_PRODUCT."""
     terms = []
     for _ in range(draw(st.integers(0, 4))):
         factors = [IntPoly(f) for f in draw(st.lists(kernel_operands(24), min_size=1, max_size=3))]
         if draw(st.integers(0, 5)) == 0:
             factors.insert(draw(st.integers(0, len(factors))), ZERO)
-        terms.append((draw(st.integers(0, 2 * _SCHOOLBOOK_CUTOFF + 8)), factors))
+        terms.append((draw(st.integers(0, _SHORT_PRODUCT + 8)), factors))
     return terms
 
 
@@ -332,7 +332,7 @@ class TestShiftedSum:
 
 
 def test_kronecker_path_matches_naive_reference():
-    # Operands above the schoolbook cutoff exercise the packed-integer path.
+    # Results longer than _SHORT_PRODUCT exercise the packed-integer path.
     rng = random.Random(20260826)
     for _ in range(5):
         a = [rng.randint(-10**9, 10**9) for _ in range(120)]
@@ -342,9 +342,20 @@ def test_kronecker_path_matches_naive_reference():
 
 class TestKernels:
     @settings(max_examples=300, deadline=None)
-    @given(kernel_operands(2 * _SCHOOLBOOK_CUTOFF + 4), kernel_operands(2 * _SCHOOLBOOK_CUTOFF + 4))
+    @given(kernel_operands(_SHORT_PRODUCT + 4), kernel_operands(_SHORT_PRODUCT + 4))
     def test_mul_matches_naive_reference_across_the_cutoff(self, a, b):
         assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(naive_mul(a, b))
+
+    def test_short_times_long(self):
+        # a short operand times a long one is packed: slot-edge and signed
+        # coefficients, either operand first; the result's third coefficient
+        # is 2 * 2**126 + (2**63 - 1)**2, past a 16-byte signed slot
+        rng = random.Random(20261020)
+        edges = [-(2**63), 2**63 - 1, -129, -128, 127, 128, 255, 256, -1, 0, 1]
+        short = [-(2**63), -(2**63), 2**63 - 1]
+        long = [2**63 - 1, -(2**63), -(2**63)] + [rng.choice(edges) for _ in range(196)] + [-128]
+        for a, b in ((short, long), (long, short), ([abs(c) for c in short], [abs(c) for c in long])):
+            assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(naive_mul(a, b))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(kernel_operands(40), max_size=6), st.booleans())
@@ -374,11 +385,12 @@ class TestKernels:
         assert product([P(1, 1), P(1, -1)]) == P(1, 0, -1)
 
     def test_product_on_both_sides_of_the_short_threshold(self):
-        # Results of 2 * _SCHOOLBOOK_CUTOFF coefficients and fewer are built
-        # by `*`, longer ones packed: nonnegative and mixed-sign factors, and
-        # a q-Pochhammer-like list of many sparse factors.
+        # Results of _SHORT_PRODUCT coefficients and fewer are built by
+        # schoolbook convolution, longer ones packed: nonnegative and
+        # mixed-sign factors, and a q-Pochhammer-like list of many sparse
+        # factors.
         rng = random.Random(20261018)
-        edge = 2 * _SCHOOLBOOK_CUTOFF
+        edge = _SHORT_PRODUCT
         shapes = ([2, 2], [edge // 2, edge // 2 + 1], [edge // 2 + 1] * 2, [edge // 4 + 1] * 4, [100, 100, 100])
         cases = [[[rng.randint(lo, 10**12) for _ in range(n)] for n in sizes] for sizes in shapes for lo in (0, -(10**12))]
         cases.append([[1] + [0] * (k - 1) + [-1] for k in range(1, 30)])
@@ -450,9 +462,9 @@ class TestProductSum:
 
     def test_on_both_sides_of_the_short_threshold(self):
         # A shift past every other term, mixed signs, byte-slot edges, and
-        # results of 2 * _SCHOOLBOOK_CUTOFF coefficients and one more.
+        # results of _SHORT_PRODUCT coefficients and one more.
         rng = random.Random(20261019)
-        edge = 2 * _SCHOOLBOOK_CUTOFF
+        edge = _SHORT_PRODUCT
         for lo in (0, -(2**63)):
             factors = [IntPoly(rng.randint(lo, 2**63 - 1) for _ in range(n)) for n in (edge // 2, edge // 2, 40)]
             for length in (edge, edge + 1):
