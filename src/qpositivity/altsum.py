@@ -21,12 +21,11 @@ that it holds every coefficient of a sum of shifted terms; a term is the
 signed product of its packed factors, and no polynomial product is formed.
 F adds the packed terms, each shifted by its exponent in whole slots, and
 makes one divmod by the packed D with qpoly.packed_quotient, which
-certifies the unpacked quotient exactly.  A quotient that does not fit or
-fails its certificate repacks the table one byte wider.  A remainder proves
-that the sum is not a polynomial: individual terms are not generally
-polynomial, so a NotDivisible there is a meaningful global signal, not a
-per-term accident, and packed_quotient raises it by dividing the unpacked
-dividend with the table's Division, which names the Phi_d exponent.
+certifies the unpacked quotient exactly, and otherwise divides the unpacked
+sum exactly with the table's Division.  A remainder proves that the sum is
+not a polynomial: individual terms are not generally polynomial, so a
+NotDivisible there is a meaningful global signal, not a per-term accident,
+and the Division names the Phi_d exponent.
 
 The deletion check takes F at its sub-instances from a table of its own and
 packs its whole difference lhs - rhs at one width, each deletion
@@ -123,48 +122,38 @@ def _cyclic_binoms(m: tuple[int, ...], n: tuple[int, ...]) -> list[tuple[int, in
 
 class _TermTable:
     """The (a, b)-free part of F at (m, n): for each k with a nonzero term,
-    the factors whose product times (-1)^k is the term, and the division by
-    the prefactor's Phi_d with e_d < 0.  The terms and the divisor are kept
-    packed at one slot width, which holds the divisor's L1 norm and a bound
-    on every coefficient of a sum of shifted terms."""
+    the term, (-1)^k times the product of its factors, and the division by
+    the prefactor's Phi_d with e_d < 0.  The terms and the divisor are
+    packed once, at one slot width that holds the divisor's L1 norm and a
+    bound on every coefficient of a sum of shifted terms."""
 
-    __slots__ = ("ks", "lengths", "factors", "divide", "packed")
+    __slots__ = ("ks", "lengths", "divide", "width", "terms", "divisor")
 
     def __init__(self, terms: tuple[tuple[int, tuple[IntPoly, ...]], ...], divide: Division) -> None:
         self.ks = [k for k, _ in terms]
-        self.factors = [[f.coeffs for f in factors] for _, factors in terms]
-        self.lengths = [sum(map(len, factors)) - len(factors) + 1 for factors in self.factors]
+        coeffs = [[f.coeffs for f in factors] for _, factors in terms]
+        self.lengths = [sum(map(len, factors)) - len(factors) + 1 for factors in coeffs]
         self.divide = divide
         bound = 0
-        for factors in self.factors:
+        for factors in coeffs:
             # Young's inequality ||f g||_inf <= ||f||_inf ||g||_1, with f the
             # factor of least ||f||_inf / ||f||_1, bounds the term's coefficients
             norms = [(max(map(abs, f)), sum(map(abs, f))) for f in factors]
             total = prod([l1 for _, l1 in norms])
             bound += min([top * (total // l1) for top, l1 in norms])
-        self.repack(slot_bytes(max(bound, sum(map(abs, divide.divisor.coeffs))), True))
-
-    def repack(self, width: int) -> None:
-        """Pack the terms, each the signed product of its packed factors, and
-        the divisor at width bytes a slot, as one value."""
-        terms = [prod([_packed_factor(f, width) for f in factors]) for factors in self.factors]
-        terms = [-term if k % 2 else term for k, term in zip(self.ks, terms)]
-        self.packed = (width, terms, pack(self.divide.divisor.coeffs, width, True))
+        self.width = width = slot_bytes(max(bound, sum(map(abs, divide.divisor.coeffs))), True)
+        packed = [prod([_packed_factor(f, width) for f in factors]) for factors in coeffs]
+        self.terms = [-term if k % 2 else term for k, term in zip(self.ks, packed)]
+        self.divisor = pack(divide.divisor.coeffs, width, True)
 
     def evaluate(self, a: int, b: int) -> IntPoly:
         """The sum of the terms shifted by q^{a k^2 + (2b-1) k(k-1)/2},
         divided: one packed sum and one packed_quotient, which raises
-        NotDivisible on a remainder.  A quotient that does not fit its slot
-        or fails its certificate repacks the table one byte wider."""
+        NotDivisible on a remainder."""
         shifts = [a * k * k + (2 * b - 1) * choose2(k) for k in self.ks]
+        dividend = sum(term << 8 * self.width * e for e, term in zip(shifts, self.terms))
         count = max(map(add, shifts, self.lengths))
-        while True:
-            width, packed_terms, packed_divisor = self.packed
-            dividend = sum(packed << 8 * width * e for e, packed in zip(shifts, packed_terms))
-            try:
-                return packed_quotient(dividend, count, width, self.divide, packed_divisor)
-            except OverflowError:
-                self.repack(width + 1)
+        return packed_quotient(dividend, count, self.width, self.divide, self.divisor)
 
 
 # Seven bounded caches.  A term table is reused within one (m, n) block of a
@@ -193,24 +182,20 @@ def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> _TermTable:
     return _TermTable(tuple(terms), divide)
 
 
-def _evaluate(params: CyclicParams) -> IntPoly:
-    """The uncached body of F."""
-    return _term_table(params.m, params.n).evaluate(params.a, params.b)
-
-
 @lru_cache(maxsize=64)
 def F(params: CyclicParams) -> IntPoly:
     """Evaluate the alternating sum; raises NotDivisible when the prefactored
     sum is not a polynomial at these parameters."""
-    return _evaluate(params)
+    return _term_table(params.m, params.n).evaluate(params.a, params.b)
 
 
 @lru_cache(maxsize=4096)
-def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int, unsafe: bool) -> IntPoly:
+def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> IntPoly:
     """F at a deletion sub-instance, valid when derived from a valid instance
-    with b >= 2 (r - 1 >= 2 and a + 2(b - 1) >= 1); like F, an exception is
-    raised anew on every call, never cached."""
-    return _evaluate(CyclicParams._make((m, n, a, b, unsafe)))
+    with b >= 2 (r - 1 >= 2 and a + 2(b - 1) >= 1), whether or not that one
+    waives the (a, b) window; like F, an exception is raised anew on every
+    call, never cached."""
+    return _term_table(m, n).evaluate(a, b)
 
 
 @lru_cache(maxsize=16)
@@ -305,12 +290,12 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
         raise InvalidRange(
             f"deletion_check requires r >= 3 and 2 <= b <= r, got r={params.r}, b={params.b}"
         )
-    m, n, a, b, unsafe = params.m, params.n, params.a, params.b, params.unsafe
+    m, n, a, b = params.m, params.n, params.a, params.b
     m1, m2, m3 = m[:3]
     lhs = F(params).coeffs
     subs = []
     for ell in range(min(m1, m2) + 1):  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
-        sub = _sub_instance((ell,) + m[2:], n, a, b - 1, unsafe).coeffs
+        sub = _sub_instance((ell,) + m[2:], n, a, b - 1).coeffs
         if sub:
             subs.append((ell, sub))
     # lhs - rhs is packed at one width that bounds each of its coefficients;

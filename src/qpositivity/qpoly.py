@@ -26,16 +26,15 @@ product_sum(terms) builds a sum of shifted products, q**e times a product
 of factors per term: it packs every factor once, at a width that holds the
 sum over the terms of the product of their factors' L1 norms, multiplies
 each term's packed integers as a balanced tree, shifts it by e whole slots,
-adds the integers and unpacks once.  product(factors) packs one such term,
-and `*` is the product of its two operands.  A result of at most
-_SHORT_PRODUCT coefficients is built by schoolbook convolution instead:
-product multiplies the factors' coefficient tuples in a chain, shortest
-first, and makes one IntPoly, and product_sum takes the shifted_sum of such
-products.
+adds the integers and unpacks once.  product(factors) is one such term,
+unshifted, and `*` is the product of its two operands.  A result of at most
+_SHORT_PRODUCT coefficients is built by schoolbook convolution instead: the
+shifted_sum of each term's chain of products of coefficient tuples,
+shortest first.
 
 packed_quotient(dividend, ...) divides a polynomial that is already packed
 by a monic one with one divmod, and certifies the unpacked quotient by a
-bound on its coefficients.
+bound on its coefficients; an uncertified quotient is divided exactly.
 """
 
 from __future__ import annotations
@@ -332,21 +331,24 @@ def packed_quotient(dividend: int, count: int, width: int, divide, packed_den: i
     divide is an exact division by den, such as qcombinat.Division, that
     raises NotDivisible on a remainder.  dividend is P and packed_den is den,
     packed at width bytes a slot; P has at most count coefficients, each
-    below half a slot.  A nonzero remainder means that den does not divide P,
-    and divide(P) then raises NotDivisible with its remainder.  Otherwise the
+    below half a slot, so P unpacks exactly.  When the remainder is 0, the
     quotient Q is unpacked and certified: when ||Q||_inf * ||den||_1 is below
     half a slot, Q * den and P are polynomials with coefficients below half a
-    slot and the same value at 256**width, so they are equal.  An unpack that
-    overflows or a failed certificate raises OverflowError, and a wider slot
-    decides; for a monic den a wide enough slot always does."""
+    slot and the same value at 256**width, so they are equal.  A nonzero
+    remainder (den does not divide P), a Q that does not fit its slots or a
+    failed certificate ends in divide(P), which returns the exact quotient or
+    raises NotDivisible with its remainder."""
     den = divide.divisor.coeffs
     quotient, remainder = divmod(dividend, packed_den)
-    if remainder:
-        return divide(IntPoly(unpack(dividend, width, count, True)))
-    coeffs = unpack(quotient, width, max(count - len(den) + 1, 0), True)
-    if max(map(abs, coeffs), default=0) * sum(map(abs, den)) >= 1 << 8 * width - 1:
-        raise OverflowError(f"quotient not certified at a slot of {width} bytes")
-    return IntPoly(coeffs)
+    if not remainder:
+        try:
+            coeffs = unpack(quotient, width, max(count - len(den) + 1, 0), True)
+        except OverflowError:
+            pass
+        else:
+            if max(map(abs, coeffs), default=0) * sum(map(abs, den)) < 1 << 8 * width - 1:
+                return IntPoly(coeffs)
+    return divide(IntPoly(unpack(dividend, width, count, True)))
 
 
 def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -361,48 +363,39 @@ def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def product(factors: Iterable[IntPoly]) -> IntPoly:
-    """The product of factors; ONE for none.
-
-    A result of at most _SHORT_PRODUCT coefficients is a chain of
-    schoolbook convolutions of the coefficient tuples, shortest first.  A
-    longer one is packed, at a slot width holding the product of the
-    factors' L1 norms, which bounds every coefficient of the result."""
+    """The product of factors; ONE for none.  Of two or more factors, the
+    single unshifted term of product_sum."""
     factors = list(factors)
     if len(factors) < 2:
         return factors[0] if factors else ONE
-    polys = [f.coeffs for f in factors]
-    if not all(polys):
-        return ZERO
-    if _product_length(polys) <= _SHORT_PRODUCT:
-        return IntPoly(reduce(_schoolbook, sorted(polys, key=len)))
-    return _packed_sum([(0, polys)], prod(sum(map(abs, p)) for p in polys))
+    return product_sum([(0, factors)])
 
 
 def product_sum(terms: Iterable[tuple[int, Iterable[IntPoly]]]) -> IntPoly:
     """The sum of q**e * product(factors) over the (e, factors) pairs
     (e >= 0); a term with a zero factor is skipped whatever its e.
 
-    A result of at most _SHORT_PRODUCT coefficients is the
-    shifted_sum of the terms' products.  A longer one is packed, every factor
-    once, at a slot width holding the sum over the terms of the product of
-    their factors' L1 norms, which bounds every coefficient of the result:
-    each term is one tree product of packed integers, shifted by whole
-    slots, and the sum is unpacked once."""
+    A result of at most _SHORT_PRODUCT coefficients is the shifted_sum of
+    the terms' products, each a chain of schoolbook convolutions of the
+    factors' coefficient tuples, shortest first.  A longer one is packed,
+    every factor once, at a slot width holding the sum over the terms of
+    the product of their factors' L1 norms, which bounds every coefficient
+    of the result: each term is one tree product of packed integers,
+    shifted by whole slots, and the sum is unpacked once."""
     kept = []
     for e, factors in terms:
-        factors = list(factors) or [ONE]
-        polys = [f.coeffs for f in factors]
+        polys = [f.coeffs for f in factors] or [ONE.coeffs]
         if not all(polys):
             continue
         if e < 0:
             raise ValueError(f"negative shift {e}")
-        kept.append((e, factors, polys))
+        kept.append((e, polys))
     if not kept:
         return ZERO
-    if max(e + _product_length(polys) for e, _, polys in kept) <= _SHORT_PRODUCT:
-        return shifted_sum((e, product(factors)) for e, factors, _ in kept)
-    bound = sum(prod(sum(map(abs, p)) for p in polys) for _, _, polys in kept)
-    return _packed_sum([(e, polys) for e, _, polys in kept], bound)
+    if max(e + _product_length(polys) for e, polys in kept) <= _SHORT_PRODUCT:
+        return shifted_sum((e, IntPoly(reduce(_schoolbook, sorted(polys, key=len)))) for e, polys in kept)
+    bound = sum(prod(sum(map(abs, p)) for p in polys) for _, polys in kept)
+    return _packed_sum(kept, bound)
 
 
 def _product_length(polys: list[Sequence[int]]) -> int:

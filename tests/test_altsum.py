@@ -436,21 +436,21 @@ class TestTermTable:
         # one table per distinct (m, n), whatever (a, b), holding a term for
         # each k with -n_1 <= k <= n_1 whose cyclic product is not zero
         pairs = list(product(product((1, 2), repeat=2), repeat=2))
-        expected = []
-        for m, n in pairs:
-            table = altsum._term_table.__wrapped__(m, n)
-            expected.append((tuple(table.ks), tuple(map(tuple, table.factors))))
-        for cache in _altsum_caches():
-            cache.cache_clear()
         builds = Counter()
 
         class Counted(altsum._TermTable):
             def __init__(self, terms, divide):
                 super().__init__(terms, divide)
-                builds[tuple(self.ks), tuple(map(tuple, self.factors))] += 1
+                builds[tuple(self.ks), tuple(tuple(f.coeffs for f in factors) for _, factors in terms)] += 1
 
         # the cached _term_table looks _TermTable up at each build
         monkeypatch.setattr(altsum, "_TermTable", Counted)
+        for m, n in pairs:
+            altsum._term_table.__wrapped__(m, n)
+        expected = list(builds.elements())
+        builds.clear()
+        for cache in _altsum_caches():
+            cache.cache_clear()
         argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2",
                 "--checks", "positivity,reciprocity,degree-bound", "--out", str(tmp_path / "report.jsonl")]
         assert main(argv) == 0
@@ -500,13 +500,11 @@ class TestTermTable:
         for cache in _altsum_caches():
             cache.cache_clear()
         calls = Counter()
-        body = altsum._evaluate
 
-        def counted(params):
-            calls[params.m, params.n, params.a, params.b] += 1
-            return body(params)
+        def counted(m, n, a, b):
+            calls[m, n, a, b] += 1
 
-        monkeypatch.setattr(altsum, "_evaluate", counted)
+        _before_each_evaluation(monkeypatch, counted)
         argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2",
                 "--checks", "deletion,reciprocity", "--out", str(tmp_path / "report.jsonl")]
         assert main(argv) == 0
@@ -556,8 +554,8 @@ class TestTermTable:
             ((3, 2, 2), (2, 3, 1), 2, 2),
         ]] + [CyclicParams((0, 1, 2), (2, 1), 1, 3, unsafe=True)]
         for perturb in perturbations:
-            def perturbed(m, n, a, b, unsafe, perturb=perturb):
-                return perturb(body(m, n, a, b, unsafe), m[0])
+            def perturbed(m, n, a, b, perturb=perturb):
+                return perturb(body(m, n, a, b), m[0])
 
             monkeypatch.setattr(altsum, "_sub_instance", perturbed)
             for params in grid:
@@ -566,7 +564,7 @@ class TestTermTable:
                 for ell in range(m[0] + 1):
                     coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
                     if not coef.is_zero():
-                        sub = perturbed((ell,) + m[2:], params.n, params.a, params.b - 1, params.unsafe)
+                        sub = perturbed((ell,) + m[2:], params.n, params.a, params.b - 1)
                         rhs = rhs + (coef * sub).shift(ell * ell + ell)
                 result = deletion_check(params)
                 assert result.difference == F(params) - rhs
@@ -578,47 +576,48 @@ class TestTermTable:
         for cache in _altsum_caches():
             cache.cache_clear()
         failures = []
-        body = altsum._evaluate
 
-        def failing(params):
-            if params.r == 2:
-                failures.append(params)
+        def failing(m, n, a, b):
+            if len(m) == 2:
+                failures.append((m, n, a, b))
                 raise NotDivisible(IntPoly((1,)))
-            return body(params)
 
-        monkeypatch.setattr(altsum, "_evaluate", failing)
+        _before_each_evaluation(monkeypatch, failing)
         params = CyclicParams((1, 1, 1), (1, 1), 1, 2)
         for _ in range(3):
             with pytest.raises(NotDivisible):
                 deletion_check(params)
-        assert failures == [CyclicParams((0, 1), (1, 1), 1, 1)] * 3
+        assert failures == [((0, 1), (1, 1), 1, 1)] * 3
 
     def test_table_width_holds_the_sum_of_the_terms(self):
         # at a = 0, b = 1 the k = 0 and k = 1 terms both have shift 0, and
         # their sum 200 + 2q needs a second byte that neither term needs
         # (the k = 1 factor is negated, so its term is 100 + q too)
         table = altsum._TermTable(((0, (P(100, 1),)), (1, (P(-100, -1),))), Division())
-        assert table.packed[0] == 2
+        assert table.width == 2
         assert table.evaluate(0, 1) == P(200, 2)
 
     def test_table_width_holds_the_products_of_the_factors(self):
         # (1 + q)^10 reaches 252, which no factor nor a one-byte slot holds;
         # packed at one byte, the sum would unpack to other coefficients
         table = altsum._TermTable(((0, (P(1, 1),) * 10),), Division())
-        assert table.packed[0] == 2
+        assert table.width == 2
         assert table.evaluate(0, 1) == IntPoly(comb(10, i) for i in range(11))
 
-    def test_table_repacks_for_a_wide_quotient(self):
+    def test_table_divides_a_wide_quotient_exactly(self):
         # one byte holds the dividend (1 - q^40)^2 and the divisor (1 - q)^2,
         # both of L1 norm 4, but the quotient's coefficients reach 40, and
-        # 40 * 4 is not below half a byte, so the certificate fails
+        # 40 * 4 is not below half a byte, so the certificate fails and the
+        # unpacked dividend is divided exactly; the table is left as built
         factor, divisor = IntPoly([1] + [0] * 39 + [-1]), P(1, -2, 1)
         quotient = IntPoly([1] * 40) * IntPoly([1] * 40)
         assert max(quotient.coeffs) == 40
         table = altsum._TermTable(((0, (factor, factor)),), Division(divisor, "Φ_1 exponent -2"))
-        assert table.packed[0] == 1
+        assert table.width == 1
+        built = (table.width, table.terms, table.divisor)
         assert table.evaluate(0, 1) == quotient
-        assert table.packed[0] == 2
+        assert table.width == 1
+        assert all(after is before for after, before in zip((table.width, table.terms, table.divisor), built))
 
     def test_table_failure_carries_the_remainder_and_the_exponent(self):
         # 1 + 2q + 3q at a = 1 is 1 + 5q = 5(1 + q) - 4 (the k = 1 factor
@@ -646,6 +645,25 @@ def _caches(module):
 
 def _altsum_caches():
     return _caches(altsum)
+
+
+def _before_each_evaluation(monkeypatch, before):
+    """Call before(m, n, a, b) ahead of every term-table evaluation, the one
+    entry through which F and the deletion sub-instances are evaluated."""
+    owners = {}
+    term_table, evaluate = altsum._term_table, altsum._TermTable.evaluate
+
+    def located(m, n):
+        table = term_table(m, n)
+        owners[table] = (m, n)
+        return table
+
+    def observed(table, a, b):
+        before(*owners[table], a, b)
+        return evaluate(table, a, b)
+
+    monkeypatch.setattr(altsum, "_term_table", located)
+    monkeypatch.setattr(altsum._TermTable, "evaluate", observed)
 
 
 def _prefactor(m, n):

@@ -165,15 +165,10 @@ class TestExactDiv:
 
 def divide_packed(p, den):
     """packed_quotient as F calls it: the dividend packed at the first width
-    that holds its coefficients and den's L1 norm, one byte wider after each
-    OverflowError, with a Division by den."""
+    that holds its coefficients and den's L1 norm, with a Division by den."""
     width = slot_bytes(max(max(map(abs, p), default=0), sum(map(abs, den))), True)
-    while True:
-        try:
-            dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
-            return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den)
-        except OverflowError:
-            width += 1
+    dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
+    return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den)
 
 
 def division_outcome(divide, p, den):
@@ -218,22 +213,31 @@ class TestPackedQuotient:
         assert exc.value.remainder == P(2)
 
     def test_quotient_wider_than_the_dividend(self):
+        def at_width(p, den, width):
+            dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
+            return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den)
+
         # (q - 1) * c(1 + q + ... + q^9) = -c + c q^10 fills two bytes, but
-        # the certificate needs c * ||q - 1||_1 = 2c below half a slot
+        # the certificate needs c * ||q - 1||_1 = 2c below half a slot, so
+        # the unpacked dividend is divided exactly
         c = 2**15 - 1
         p, den = P(-c, *[0] * 9, c), P(-1, 1)
-        with pytest.raises(OverflowError):
-            packed_quotient(pack(p.coeffs, 2, True), 11, 2, Division(den, "den"), pack(den.coeffs, 2, True))
-        assert divide_packed(p, den) == IntPoly([c] * 10)
+        assert at_width(p, den, 2) == IntPoly([c] * 10)
         # (1 - q)^2 times the bump (i + 1)(39 - i), whose coefficients reach
         # 400, is 39 - 2q - ... - 2q^39 + 39q^40: one byte holds the dividend
         # but not the quotient
         quotient, den = IntPoly((i + 1) * (39 - i) for i in range(39)), P(1, -2, 1)
         p = quotient * den
         assert max(map(abs, p)) == 39
+        assert at_width(p, den, 1) == quotient
+        # (q - 1)(100 + 200q + 127q^2) fills one byte, but the quotient's
+        # 200 does not fit a signed byte, so its unpack overflows
+        quotient, den = P(100, 200, 127), P(-1, 1)
+        p = quotient * den
+        assert p == P(-100, -100, 73, 127)
         with pytest.raises(OverflowError):
-            packed_quotient(pack(p.coeffs, 1, True), 41, 1, Division(den, "den"), pack(den.coeffs, 1, True))
-        assert divide_packed(p, den) == quotient
+            unpack(divmod(pack(p.coeffs, 1, True), pack(den.coeffs, 1, True))[0], 1, 3, True)
+        assert at_width(p, den, 1) == quotient
 
 
 class TestReverse:
