@@ -167,8 +167,8 @@ _split_prefactor = lru_cache(maxsize=256)(cyclotomic_split)
 
 @lru_cache(maxsize=256)
 def _packed_factor(coeffs: tuple[int, ...], width: int) -> int:
-    """The polynomial with these coefficients packed at width bytes a slot."""
-    return pack(coeffs, width, min(coeffs) < 0)
+    """The polynomial with these coefficients in signed width-byte slots."""
+    return pack(coeffs, width, True)
 
 
 @lru_cache(maxsize=16)

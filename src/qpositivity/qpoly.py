@@ -10,23 +10,24 @@ polynomial per term.
 Long products use Kronecker substitution: a polynomial is packed into the
 integer that is its value at q = 256**width, one width-byte slot per
 coefficient, and CPython's subquadratic bignum multiply does the
-convolution.  Packing and unpacking take linear time.  A slot of at most 8
-bytes is converted in C, all coefficients in one struct call on the
-standard little-endian word that holds the slot, with width strided byte
-copies between words and slots when the slot is narrower than its word.
-Slots wider than 8 bytes go through one int.to_bytes or int.from_bytes call
-per coefficient.  On either path a coefficient that does not fit its slot
-raises OverflowError.  A polynomial with a negative coefficient is packed
-with every slot raised by half a slot, which is then subtracted exactly, and
-a signed result is unpacked the same way, so a product costs one pack per
-operand, one bignum multiply and one unpack (Harvey, J. Symbolic Comput. 44,
-2009).
+convolution.  Packing and unpacking take linear time.  slot_bytes rounds a
+slot of at most 8 bytes up to the standard little-endian word of 1, 2, 4 or
+8 bytes, which struct converts in C, all coefficients in one call.  A slot
+of any other width goes through one int.to_bytes or int.from_bytes call per
+coefficient.  On either path a coefficient that does not fit its slot
+raises OverflowError.  Signed slots hold two's complement bytes T, and the
+packed value is (T ^ H) - H, with H half a slot in every slot: flipping a
+slot's top bit adds half a slot to its coefficient, which the subtraction
+takes away exactly.  A signed result is unpacked as (v + H) ^ H, so a
+product costs one pack per operand, one bignum multiply and one unpack
+(signed, or balanced, packing: Harvey, J. Symbolic Comput. 44, 2009).
 
 product_sum(terms) builds a sum of shifted products, q**e times a product
-of factors per term: it packs every factor once, at a width that holds the
-sum over the terms of the product of their factors' L1 norms, multiplies
-each term's packed integers as a balanced tree, shifts it by e whole slots,
-adds the integers and unpacks once.  product(factors) is one such term,
+of factors per term: it packs every factor once, in signed slots when any
+factor has a negative coefficient, at a width that holds the sum over the
+terms of the product of their factors' L1 norms, multiplies each term's
+packed integers as a balanced tree, shifts it by e whole slots, adds the
+integers and unpacks once.  product(factors) is one such term,
 unshifted, and `*` is the product of its two operands.  A result of at most
 _SHORT_PRODUCT coefficients is built by schoolbook convolution instead: the
 shifted_sum of each term's chain of products of coefficient tuples,
@@ -71,8 +72,10 @@ _SHORT_PRODUCT = 32
 
 def slot_bytes(bound: int, signed: bool) -> int:
     """Bytes per slot for values of absolute value at most bound: below half
-    a slot when signed, below a whole slot otherwise."""
-    return (bound.bit_length() + signed + 7) // 8
+    a slot when signed, below a whole slot otherwise.  A width of at most 8
+    bytes is rounded up to the struct word that holds it, 1, 2, 4 or 8."""
+    width = max((bound.bit_length() + signed + 7) // 8, 1)
+    return width if width > 8 else 1 << (width - 1).bit_length()
 
 
 def _halves(width: int, count: int) -> int:
@@ -80,68 +83,46 @@ def _halves(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-# Slots of at most 8 bytes are converted in C: struct packs or unpacks the
-# coefficients as the standard little-endian word of 1, 2, 4 or 8 bytes that
-# holds a slot, and a slot narrower than its word takes width strided slice
-# copies between words and slots.  Slots wider than 8 bytes are converted one
-# coefficient at a time.
-_WORDS = ((1, "B"), (2, "H"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"), (8, "Q"), (8, "Q"))
+# The little-endian struct word codes of slots of 1, 2, 4 and 8 bytes, by
+# width; a slot of any other width is converted one coefficient at a time.
+_CODES = ("", "B", "H", "", "I", "", "", "", "Q")
 
 
-def _word(width: int) -> tuple[int, str]:
-    """Bytes and struct code of the smallest standard word holding a
-    width-byte slot; (0, "") when the slot is wider than 8 bytes."""
-    return _WORDS[width - 1] if width <= 8 else (0, "")
-
-
-def _restride(src: bytes, src_stride: int, dst_stride: int) -> bytearray:
-    """The records of src_stride bytes in src as records of dst_stride bytes:
-    cut to their low bytes, or padded with zero bytes."""
-    out = bytearray(len(src) // src_stride * dst_stride)
-    for b in range(min(src_stride, dst_stride)):
-        out[b::dst_stride] = src[b::src_stride]
-    return out
+def _code(width: int, signed: bool) -> str:
+    code = _CODES[width] if width < len(_CODES) else ""
+    return code.lower() if signed else code
 
 
 def pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
-    """The value at q = 256**width.  Signed coefficients are raised by half a
-    slot to fit an unsigned slot, and the raise is subtracted again."""
+    """The value at q = 256**width.  Signed coefficients are stored as two's
+    complement slots T; the value is (T ^ H) - H, H half a slot in each slot."""
     count = len(coeffs)
-    half = 1 << (8 * width - 1)
-    size, code = _word(width)
-    if size:
+    code = _code(width, signed)
+    if code:
         try:
-            data = struct.pack(f"<{count}{code}", *(map(add, coeffs, repeat(half)) if signed else coeffs))
+            data = struct.pack(f"<{count}{code}", *coeffs)
         except struct.error as exc:
             raise OverflowError(f"coefficient too large for a slot of {width} bytes") from exc
-        if size != width:
-            # the bytes of each word above the slot must be zero, as
-            # to_bytes(width) would demand
-            if any(data[b::size] != bytes(count) for b in range(width, size)):
-                raise OverflowError(f"coefficient too large for a slot of {width} bytes")
-            data = _restride(data, size, width)
-    elif signed:
-        data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
     else:
-        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
+        data = b"".join([c.to_bytes(width, "little", signed=signed) for c in coeffs])
     value = int.from_bytes(data, "little")
-    return value - _halves(width, count) if signed else value
+    if signed:
+        halves = _halves(width, count)
+        return (value ^ halves) - halves
+    return value
 
 
 def unpack(v: int, width: int, count: int, signed: bool) -> list[int]:
-    """The count coefficients of the polynomial whose value at 256**width is v."""
+    """The count coefficients of the polynomial whose value at 256**width is
+    v; signed slots are read as two's complement (v + H) ^ H."""
     if signed:
-        v += _halves(width, count)
+        halves = _halves(width, count)
+        v = (v + halves) ^ halves
     data = v.to_bytes(width * count, "little")
-    half = 1 << (8 * width - 1)
-    size, code = _word(width)
-    if size:
-        words = data if size == width else _restride(data, width, size)
-        coeffs = struct.unpack(f"<{count}{code}", words)
-        return list(map(sub, coeffs, repeat(half))) if signed else list(coeffs)
-    if signed:
-        return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * count, width)]
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * count, width)]
+    code = _code(width, signed)
+    if code:
+        return list(struct.unpack(f"<{count}{code}", data))
+    return [int.from_bytes(data[i : i + width], "little", signed=signed) for i in range(0, width * count, width)]
 
 
 class IntPoly:
@@ -411,7 +392,7 @@ def _packed_sum(terms: list[tuple[int, list[Sequence[int]]]], bound: int) -> Int
     width = slot_bytes(bound, signed)
     total = 0
     for e, polys in terms:
-        packed = [pack(p, width, min(p) < 0) for p in polys]
+        packed = [pack(p, width, signed) for p in polys]
         total += _tree_product(packed) << 8 * width * e
     count = max(e + _product_length(polys) for e, polys in terms)
     return IntPoly(unpack(total, width, count, signed))

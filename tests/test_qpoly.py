@@ -409,8 +409,8 @@ class TestPacking:
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("width", range(1, 27))
     def test_round_trip_and_value(self, width, signed):
-        # Widths up to 8 take the word path, wider ones the per-coefficient
-        # path.  Coefficients include the extremes a slot holds.
+        # Widths 1, 2, 4 and 8 take one struct call, every other width the
+        # per-coefficient path.  Coefficients include the extremes a slot holds.
         half = 1 << (8 * width - 1)
         edges = [-half, -(half - 1), 0, half - 1] if signed else [0, half - 1, 2 * half - 1]
         rng = random.Random(width)
@@ -425,8 +425,8 @@ class TestPacking:
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("width", range(1, 27))
     def test_coefficient_past_the_slot_raises(self, width, signed):
-        # a slot narrower than its struct word must not drop the word's high
-        # bytes silently
+        # on either path a coefficient outside its slot raises, and never
+        # wraps into a two's complement slot
         half = 1 << (8 * width - 1)
         for bad in (-half - 1, half) if signed else (-1, 2 * half):
             for count in (1, 300):
@@ -434,13 +434,36 @@ class TestPacking:
                     pack([0] * (count - 1) + [bad], width, signed)
 
     def test_pinned_values(self):
-        # a transposed strided copy would round-trip but pack other values
+        # a slot layout with its bytes out of order would round-trip but
+        # pack other values; 3- and 5-byte slots take the per-coefficient path
         assert pack([1, 2, 3], 3, False) == 1 + 2 * 256**3 + 3 * 256**6
         assert pack([1, 2, 3] * 10, 3, False) == sum(c * 256 ** (3 * i) for i, c in enumerate([1, 2, 3] * 10))
         assert pack([-1, 2], 5, True) == -1 + 2 * 256**5
         assert unpack(1 + 2 * 256**3 + 3 * 256**6, 3, 3, False) == [1, 2, 3]
         with pytest.raises(OverflowError):
             pack([2**24] * 30, 3, False)
+
+
+class TestSlotBytes:
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_rounds_to_a_word_up_to_8_bytes(self, signed):
+        # at every byte edge: never below the exact byte count, the smallest
+        # struct word that holds it up to 8 bytes, and the count itself above
+        for j in range(1, 11):
+            for edge in (1 << (8 * j - 1), 1 << (8 * j)):
+                for bound in (edge - 1, edge, edge + 1):
+                    exact = (bound.bit_length() + signed + 7) // 8
+                    width = slot_bytes(bound, signed)
+                    assert width >= exact
+                    assert bound < 1 << (8 * width - signed)
+                    if exact <= 8:
+                        assert width == min(w for w in (1, 2, 4, 8) if w >= exact)
+                    else:
+                        assert width == exact
+
+    def test_zero_takes_one_byte(self):
+        assert slot_bytes(0, False) == 1
+        assert slot_bytes(0, True) == 1
 
 
 class TestProductSum:
