@@ -27,9 +27,14 @@ not a polynomial: individual terms are not generally polynomial, so a
 NotDivisible there is a meaningful global signal, not a per-term accident,
 and the Division names the Phi_d exponent.
 
-The deletion check takes F at its sub-instances from a table of its own and
-packs its whole difference lhs - rhs at one width, each deletion
-coefficient the product of two packed Gaussian coefficients.
+The deletion recurrence holds term by term in k, and each k-term reduces
+to a kernel identity in (m1, m2, m3, m_r, k) alone (deletion_kernel_check).
+So the deletion check is decided by three cached verdicts: the kernel holds
+at every k in [-n1, n1], F is a polynomial at the instance, and F is a
+polynomial at every sub-instance.  Only when a kernel fails does it take
+the summed route: F at each sub-instance from a table of its own, and the
+whole difference lhs - rhs packed at one width, each deletion coefficient
+the product of two packed Gaussian coefficients.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -125,9 +130,10 @@ class _TermTable:
     the term, (-1)^k times the product of its factors, and the division by
     the prefactor's Phi_d with e_d < 0.  The terms and the divisor are
     packed once, at one slot width that holds the divisor's L1 norm and a
-    bound on every coefficient of a sum of shifted terms."""
+    bound on every coefficient of a sum of shifted terms; that norm is kept
+    for the quotient's certificate."""
 
-    __slots__ = ("ks", "lengths", "divide", "width", "terms", "divisor")
+    __slots__ = ("ks", "lengths", "divide", "width", "terms", "divisor", "divisor_l1")
 
     def __init__(self, terms: tuple[tuple[int, tuple[IntPoly, ...]], ...], divide: Division) -> None:
         self.ks = [k for k, _ in terms]
@@ -141,7 +147,8 @@ class _TermTable:
             norms = [(max(map(abs, f)), sum(map(abs, f))) for f in factors]
             total = prod([l1 for _, l1 in norms])
             bound += min([top * (total // l1) for top, l1 in norms])
-        self.width = width = slot_bytes(max(bound, sum(map(abs, divide.divisor.coeffs))), True)
+        self.divisor_l1 = sum(map(abs, divide.divisor.coeffs))
+        self.width = width = slot_bytes(max(bound, self.divisor_l1), True)
         packed = [prod([_packed_factor(f, width) for f in factors]) for factors in coeffs]
         self.terms = [-term if k % 2 else term for k, term in zip(self.ks, packed)]
         self.divisor = pack(divide.divisor.coeffs, width, True)
@@ -153,15 +160,18 @@ class _TermTable:
         shifts = [a * k * k + (2 * b - 1) * choose2(k) for k in self.ks]
         dividend = sum(term << 8 * self.width * e for e, term in zip(shifts, self.terms))
         count = max(map(add, shifts, self.lengths))
-        return packed_quotient(dividend, count, self.width, self.divide, self.divisor)
+        return packed_quotient(dividend, count, self.width, self.divide, self.divisor, self.divisor_l1)
 
 
-# Seven bounded caches.  A term table is reused within one (m, n) block of a
+# Eight bounded caches.  A term table is reused within one (m, n) block of a
 # scan and by the few deletion sub-instance tables it meets, so 16 suffice,
-# and 16 values of delta.  The r = s = 4, param-max 3 grid packs 64 of the
-# 256 factors and splits 142 of the 256 prefactors.  F's 64 values cover a
+# and 16 values of delta.  The r = s = 4, param-max 3 grid packs 60 of the
+# 256 factors, the deletion kernels' Gaussian coefficients among them, and
+# splits 108 of the 256 prefactors.  F's 64 values cover a
 # block's instances and their duals.  The deletion sub-instances recur only
-# after a sweep over every m2; their own 4096 values hold all 2592 at r = s = 3.
+# after a sweep over every m2, so only their verdicts are kept: 4096 sets of
+# polynomial (a, b), one per sub-instance (m, n), hold all 324 at r = s = 3
+# and all 2916 at r = s = 4, and 256 kernel verdicts all 81 and 243.
 _split_prefactor = lru_cache(maxsize=256)(cyclotomic_split)
 
 
@@ -189,13 +199,25 @@ def F(params: CyclicParams) -> IntPoly:
     return _term_table(params.m, params.n).evaluate(params.a, params.b)
 
 
-@lru_cache(maxsize=4096)
 def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> IntPoly:
     """F at a deletion sub-instance, valid when derived from a valid instance
     with b >= 2 (r - 1 >= 2 and a + 2(b - 1) >= 1), whether or not that one
-    waives the (a, b) window; like F, an exception is raised anew on every
-    call, never cached."""
+    waives the (a, b) window."""
     return _term_table(m, n).evaluate(a, b)
+
+
+@lru_cache(maxsize=4096)
+def _polynomial_points(m: tuple[int, ...], n: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The (a, b) at which F at the sub-instance (m, n) has evaluated without
+    NotDivisible, a set that deletion_check fills; a failure is never added,
+    so it is raised anew."""
+    return set()
+
+
+@lru_cache(maxsize=256)
+def _kernels_hold(m1: int, m2: int, m3: int, mr: int, n1: int) -> bool:
+    """Whether the deletion kernel holds at every k in [-n1, n1]."""
+    return all(deletion_kernel_check(m1, m2, m3, mr, k).passed for k in range(-n1, n1 + 1))
 
 
 @lru_cache(maxsize=16)
@@ -281,15 +303,85 @@ def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
     return IdentityCheckResult("product", info, diff.is_zero(), diff)
 
 
+def deletion_kernel_check(m1: int, m2: int, m3: int, mr: int, k: int) -> IdentityCheckResult:
+    """Check the kernel of the deletion recurrence at k, with [N, K] =
+    gauss_binom(N, K) and mr = m_r (m3 when r = 3):
+
+        q^{k(k-1)} [m1+m2+1, m1+k] [m2+m3+1, m2+k] [mr+m1+1, mr+k]
+          = sum_{0 <= ell <= min(m1, m2)} q^{ell^2+ell} [m2+m3+1, m2-ell] [m1+mr+1, m1-ell]
+                                          * [ell+m3+1, ell+k] [mr+ell+1, mr+k].
+
+    It involves neither n, a, b nor m_4, ..., m_{r-1}; see deletion_check.
+    Both sides are packed at one width, from the packed Gaussian
+    coefficients, and their difference is unpacked only when it is nonzero."""
+    if min(m1, m2, m3, mr) < 0:
+        raise InvalidRange(f"deletion_kernel_check needs m1, m2, m3, mr >= 0, got {m1}, {m2}, {m3}, {mr}")
+    lhs = [(k * (k - 1), [(m1 + m2 + 1, m1 + k), (m2 + m3 + 1, m2 + k), (mr + m1 + 1, mr + k)])]
+    rhs = [
+        (ell * ell + ell, [(m2 + m3 + 1, m2 - ell), (m1 + mr + 1, m1 - ell),
+                           (ell + m3 + 1, ell + k), (mr + ell + 1, mr + k)])
+        for ell in range(min(m1, m2) + 1)
+    ]
+    # Gaussian coefficients are nonnegative, so each side's coefficients are
+    # at most its value at 1, and the difference is packed at a width whose
+    # half slot holds both values.  Only a term with no zero factor is
+    # packed, so that each factor's coefficients are at most its value at 1.
+    ones = [[prod([_int_binom(N, K) for N, K in binoms]) for _, binoms in side] for side in (lhs, rhs)]
+    width = slot_bytes(max(map(sum, ones)), True)
+    diff = sum(
+        sign * prod([_packed_factor(gauss_binom(N, K).coeffs, width) for N, K in binoms]) << 8 * width * e
+        for sign, side, values in ((1, lhs, ones[0]), (-1, rhs, ones[1]))
+        for (e, binoms), one in zip(side, values)
+        if one
+    )
+    # a top coefficient d_n != 0 makes |diff| > 256**(width n) / 2, so n < count
+    difference = IntPoly(unpack(diff, width, diff.bit_length() // (8 * width) + 1, True)) if diff else ZERO
+    info = {"m1": m1, "m2": m2, "m3": m3, "mr": mr, "k": k}
+    return IdentityCheckResult("deletion-kernel", info, not diff, difference)
+
+
 def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     """Check the recurrence deleting m_1, m_2: F at (r, b) equals the sum over
-    0 <= ell <= m_1 of q^{ell^2+ell} gauss_binom(m1, ell)
-    gauss_binom(m2+m3+1, m2-ell) times F at (r-1, b-1) with m-vector
-    (ell, m3, ..., m_r)."""
+    0 <= ell <= m_1 of q^{ell^2+ell} C_ell, C_ell = gauss_binom(m1, ell)
+    gauss_binom(m2+m3+1, m2-ell), times F at (r-1, b-1) with m-vector
+    (ell, m3, ..., m_r).
+
+    Both sides are pre times a sum over -n1 <= k <= n1, and the recurrence
+    holds k-term by k-term.  Divide the k-term of each side by
+    q^{a k^2 + (2b-3) k(k-1)/2}, leaving q^{k(k-1)} on the left, by the
+    n-part of the cyclic product, by the middle factors [m_i+m_{i+1}+1, m_i+k]
+    with 3 <= i < r, which the two sides share, and by pre(m, n), leaving
+    pre(m', n) / pre(m, n) = [ell]! [m1+m_r+1]! / ([m1]! [ell+m_r+1]!) on the
+    right.  Since [m1, ell] [ell]! [m1+m_r+1]! / ([m1]! [ell+m_r+1]!) =
+    [m1+m_r+1, m1-ell], what is left is deletion_kernel_check at
+    (m1, m2, m3, m_r, k).  So when the kernel holds at every k and every F
+    involved is a polynomial, the two sides are equal, and the check passes
+    with a zero difference.  F at each sub-instance is evaluated once per
+    (m', n, a, b-1) and only the verdict is kept.  A NotDivisible of the
+    instance or of a sub-instance is raised as the summed route would raise
+    it, anew on every call; when a kernel fails, the summed route
+    (_deletion_check) computes the difference."""
     if params.r < 3 or params.b < 2:
         raise InvalidRange(
             f"deletion_check requires r >= 3 and 2 <= b <= r, got r={params.r}, b={params.b}"
         )
+    m, n, a, b = params.m, params.n, params.a, params.b
+    m1, m2, m3 = m[:3]
+    if not _kernels_hold(m1, m2, m3, m[-1], n[0]):
+        return _deletion_check(params)
+    F(params)
+    point = (a, b - 1)
+    for ell in range(min(m1, m2) + 1):
+        sub = (ell,) + m[2:]
+        passed = _polynomial_points(sub, n)
+        if point not in passed:
+            _sub_instance(sub, n, a, b - 1)
+            passed.add(point)
+    return IdentityCheckResult("deletion", {"m": m, "n": n, "a": a, "b": b}, True, ZERO)
+
+
+def _deletion_check(params: CyclicParams) -> IdentityCheckResult:
+    """The deletion check the summed way: lhs - rhs packed at one width."""
     m, n, a, b = params.m, params.n, params.a, params.b
     m1, m2, m3 = m[:3]
     lhs = F(params).coeffs

@@ -89,6 +89,10 @@ _IDENTITIES: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], Ide
     "reciprocity": (("m", "n", "a", "b"), lambda args: altsum.reciprocity_check(_cyclic(args))),
     "product": (("m1", "m2", "k"), lambda args: altsum.product_identity_check(args.m1, args.m2, args.k)),
     "deletion": (("m", "n", "a", "b"), lambda args: altsum.deletion_check(_cyclic(args))),
+    "deletion-kernel": (
+        ("m1", "m2", "m3", "mr", "k"),
+        lambda args: altsum.deletion_kernel_check(args.m1, args.m2, args.m3, args.mr, args.k),
+    ),
     "recombine": (("m", "n", "ell", "k"), lambda args: altsum.recombine_check(args.m, args.n, args.ell, args.k)),
 }
 

@@ -305,29 +305,28 @@ def shifted_sum(terms: Iterable[tuple[int, IntPoly]]) -> IntPoly:
     return IntPoly(out)
 
 
-def packed_quotient(dividend: int, count: int, width: int, divide, packed_den: int) -> IntPoly:
+def packed_quotient(dividend: int, count: int, width: int, divide, packed_den: int, den_l1: int) -> IntPoly:
     """The exact quotient of a packed polynomial P by divide.divisor, den,
     with one divmod.
 
     divide is an exact division by den, such as qcombinat.Division, that
     raises NotDivisible on a remainder.  dividend is P and packed_den is den,
-    packed at width bytes a slot; P has at most count coefficients, each
-    below half a slot, so P unpacks exactly.  When the remainder is 0, the
-    quotient Q is unpacked and certified: when ||Q||_inf * ||den||_1 is below
-    half a slot, Q * den and P are polynomials with coefficients below half a
-    slot and the same value at 256**width, so they are equal.  A nonzero
-    remainder (den does not divide P), a Q that does not fit its slots or a
-    failed certificate ends in divide(P), which returns the exact quotient or
-    raises NotDivisible with its remainder."""
-    den = divide.divisor.coeffs
+    packed at width bytes a slot, and den_l1 is ||den||_1; P has at most
+    count coefficients, each below half a slot, so P unpacks exactly.  When
+    the remainder is 0, the quotient Q is unpacked and certified: when
+    ||Q||_inf * ||den||_1 is below half a slot, Q * den and P are polynomials
+    with coefficients below half a slot and the same value at 256**width, so
+    they are equal.  A nonzero remainder (den does not divide P), a Q that
+    does not fit its slots or a failed certificate ends in divide(P), which
+    returns the exact quotient or raises NotDivisible with its remainder."""
     quotient, remainder = divmod(dividend, packed_den)
     if not remainder:
         try:
-            coeffs = unpack(quotient, width, max(count - len(den) + 1, 0), True)
+            coeffs = unpack(quotient, width, max(count - len(divide.divisor.coeffs) + 1, 0), True)
         except OverflowError:
             pass
         else:
-            if max(map(abs, coeffs), default=0) * sum(map(abs, den)) < 1 << 8 * width - 1:
+            if max(map(abs, coeffs), default=0) * den_l1 < 1 << 8 * width - 1:
                 return IntPoly(coeffs)
     return divide(IntPoly(unpack(dividend, width, count, True)))
 

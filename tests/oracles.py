@@ -4,7 +4,8 @@ Everything here is deliberately naive (schoolbook convolution, sympy exact
 quotients, per-k scans) and shares no code with the package under test,
 except factorial_division_ratio, which keeps the package's earlier route for
 ratios of q-factorials on its IntPoly arithmetic, f_k_sum, the package's
-earlier route for F on top of it, and gauss_binom_pascal, the Gaussian
+earlier route for F on top of it, deletion_difference, the deletion
+recurrence summed from f_k_sum, and gauss_binom_pascal, the Gaussian
 coefficient by the q-Pascal recurrence on IntPoly addition and shifts.
 """
 
@@ -47,6 +48,18 @@ def f_k_sum(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> IntPoly:
         term = cyclic_product(m, n, k).shift(a * k * k + (2 * b - 1) * (k * (k - 1) // 2))
         total = total - term if k % 2 else total + term
     return factorial_division_ratio((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1]), total)
+
+
+def deletion_difference(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> IntPoly:
+    """The deletion recurrence's lhs - rhs the long way: F at (m, n, a, b)
+    minus the sum over 0 <= ell <= m_1 of q^{ell^2+ell} [m1, ell]
+    [m2+m3+1, m2-ell] F at ((ell, m3, ..., m_r), n, a, b-1), every F by
+    f_k_sum and every Gaussian coefficient by gauss_binom_pascal."""
+    rhs = ZERO
+    for ell in range(m[0] + 1):
+        coef = gauss_binom_pascal(m[0], ell) * gauss_binom_pascal(m[1] + m[2] + 1, m[1] - ell)
+        rhs = rhs + (coef * f_k_sum((ell,) + m[2:], n, a, b - 1)).shift(ell * ell + ell)
+    return f_k_sum(m, n, a, b) - rhs
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from qpositivity.altsum import (
     F,
     cyclic_product,
     deletion_check,
+    deletion_kernel_check,
     delta,
     product_identity_check,
     recombine_check,
@@ -24,7 +26,14 @@ from qpositivity.cli import main
 from qpositivity.qcombinat import Division, InvalidRange, choose2, gauss_binom, q_factorial
 from qpositivity.qpoly import IntPoly, NotDivisible, ZERO
 
-from oracles import exponents_nonnegative, f_k_sum, sym_alternating_sum, sym_coeffs
+from oracles import (
+    deletion_difference,
+    exponents_nonnegative,
+    f_k_sum,
+    gauss_binom_pascal,
+    sym_alternating_sum,
+    sym_coeffs,
+)
 
 
 def P(*coeffs):
@@ -387,6 +396,101 @@ class TestDeletion:
         with pytest.raises(InvalidRange):
             deletion_check(CyclicParams((1, 1, 1), (1, 1), 0, 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=4, max_size=4), st.integers(-10, 10))
+    def test_kernel_against_pascal_oracle(self, ms, k):
+        m1, m2, m3, mr = ms
+        result = deletion_kernel_check(m1, m2, m3, mr, k)
+        assert result.difference == _kernel_difference(m1, m2, m3, mr, k, gauss_binom_pascal) == ZERO
+        assert result.passed
+        assert result.identity == "deletion-kernel"
+        assert result.params == {"m1": m1, "m2": m2, "m3": m3, "mr": mr, "k": k}
+
+    def test_kernel_failure_carries_the_difference(self, monkeypatch):
+        # [4, 1] or [5, 2] times q keeps its value at 1, so the slot width,
+        # and breaks the identity wherever it is a factor
+        for target, failures in [((4, 1), 67), ((5, 2), 32)]:
+            def g(N, K, body, target=target):
+                return body(N, K).shift(1) if (N, K) == target else body(N, K)
+
+            monkeypatch.setattr(altsum, "gauss_binom", lambda N, K: g(N, K, gauss_binom))
+            failed = 0
+            for key in product(range(3), range(3), range(3), range(3), range(-2, 4)):
+                result = deletion_kernel_check(*key)
+                expected = _kernel_difference(*key, lambda N, K: g(N, K, gauss_binom_pascal))
+                assert result.difference == expected
+                assert result.passed == expected.is_zero()
+                failed += not result.passed
+            assert failed == failures
+        monkeypatch.undo()
+
+    def test_kernel_edges(self):
+        with pytest.raises(InvalidRange):
+            deletion_kernel_check(1, 1, -1, 1, 0)
+        # both sides vanish far from the window, whatever k(k - 1) is
+        assert deletion_kernel_check(1, 2, 1, 2, -100_000_000).passed
+        assert deletion_kernel_check(1, 2, 1, 2, 100_000_000).passed
+        # both sides vanish at k = 2 through [1, 2], although [21, 12] has
+        # coefficients far above the one-byte slot that 0 needs
+        assert deletion_kernel_check(10, 10, 0, 0, 2).passed
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_verdict_against_summed_oracle(self, data):
+        r, s = data.draw(st.integers(3, 5)), data.draw(st.integers(2, 3))
+        m = tuple(data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+        n = tuple(data.draw(st.lists(st.integers(1, 3), min_size=s, max_size=s)))
+        unsafe = data.draw(st.booleans())
+        # unsafe draws reach past the window: a > s and b > r
+        a = data.draw(st.integers(0, s + 2 if unsafe else s))
+        b = data.draw(st.integers(2, r + 2 if unsafe else r))
+        expected = deletion_difference(m, n, a, b)
+        result = deletion_check(CyclicParams(m, n, a, b, unsafe))
+        assert result.difference == expected
+        assert result.passed == expected.is_zero()
+
+    def test_every_k_is_decided(self, monkeypatch):
+        # n1 = 3, but the kernel's left side vanishes for k < -1 and k > 2;
+        # a kernel that fails at any k in [-n1, n1] sends the check to the
+        # summed route
+        params = CyclicParams((1, 1, 1), (3, 1), 1, 2)
+        kernel, summed = altsum.deletion_kernel_check, altsum._deletion_check
+        assert [k for k in range(-3, 4) if altsum.product([gauss_binom(3, 1 + k)] * 3)] == [-1, 0, 1, 2]
+        monkeypatch.setattr(altsum, "_deletion_check", lambda p: ("summed", p))
+        for bad in range(-3, 4):
+            altsum._kernels_hold.cache_clear()
+            monkeypatch.setattr(altsum, "deletion_kernel_check",
+                                lambda *key, bad=bad: kernel(*key)._replace(passed=key[-1] != bad))
+            assert deletion_check(params) == ("summed", params)
+        monkeypatch.setattr(altsum, "deletion_kernel_check", kernel)
+        monkeypatch.setattr(altsum, "_deletion_check", summed)
+        altsum._kernels_hold.cache_clear()
+        assert deletion_check(params) == (
+            qcombinat.IdentityCheckResult("deletion", {"m": (1, 1, 1), "n": (3, 1), "a": 1, "b": 2}, True, ZERO)
+        )
+
+    def test_scan_never_takes_the_summed_route(self, monkeypatch, tmp_path):
+        for cache in _altsum_caches():
+            cache.cache_clear()
+
+        def forbidden(params):
+            raise AssertionError(f"the summed deletion route at {params}")
+
+        monkeypatch.setattr(altsum, "_deletion_check", forbidden)
+        out = tmp_path / "report.jsonl"
+        argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2",
+                "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization", "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9b615d3d4764fd0141b49a58cc509bf4b167b339a09c601d17836952820e7b2c"
+        )
+        # only verdicts are kept for the sub-instances, never their values:
+        # one set of (a, b - 1) per ((ell, m3), n) with ell <= 2, and one
+        # kernel verdict per (m1, m2, m3, n1)
+        assert altsum._polynomial_points.cache_info().currsize == 3 * 2 * 2**2
+        assert altsum._polynomial_points((0, 2), (2, 1)) == {(a, b) for a in range(3) for b in (1, 2)}
+        assert altsum._kernels_hold.cache_info().currsize == 2**3 * 2
+
 
 class TestRecombine:
     def test_both_sides_vanish(self):
@@ -539,7 +643,9 @@ class TestTermTable:
 
     def test_packed_difference_is_the_polynomial_difference(self, monkeypatch):
         # sub-instance values that break the recurrence: shifted, signed and
-        # past a machine word, zero, negated, and changed only at ell = 0
+        # past a machine word, zero, negated, and changed only at ell = 0;
+        # a failed kernel verdict sends the check to the summed route
+        monkeypatch.setattr(altsum, "_kernels_hold", lambda *key: False)
         body = altsum._sub_instance
         perturbations = [
             lambda sub, ell: sub + IntPoly([0] * ell + [1]),
@@ -573,21 +679,14 @@ class TestTermTable:
         assert all(deletion_check(params).passed for params in grid)
 
     def test_sub_instance_failure_is_not_cached(self, monkeypatch):
-        for cache in _altsum_caches():
-            cache.cache_clear()
-        failures = []
+        # on the summed route, which a failed kernel verdict forces
+        monkeypatch.setattr(altsum, "_kernels_hold", lambda *key: False)
+        assert _failures_in_three_checks(monkeypatch, 2) == [((0, 1), (1, 1), 1, 1)] * 3
 
-        def failing(m, n, a, b):
-            if len(m) == 2:
-                failures.append((m, n, a, b))
-                raise NotDivisible(IntPoly((1,)))
-
-        _before_each_evaluation(monkeypatch, failing)
-        params = CyclicParams((1, 1, 1), (1, 1), 1, 2)
-        for _ in range(3):
-            with pytest.raises(NotDivisible):
-                deletion_check(params)
-        assert failures == [((0, 1), (1, 1), 1, 1)] * 3
+    @pytest.mark.parametrize("length,failure", [(2, ((0, 1), (1, 1), 1, 1)), (3, ((1, 1, 1), (1, 1), 1, 2))])
+    def test_verdicts_keep_no_failure(self, length, failure, monkeypatch):
+        # a sub-instance or the instance itself is not a polynomial
+        assert _failures_in_three_checks(monkeypatch, length) == [failure] * 3
 
     def test_table_width_holds_the_sum_of_the_terms(self):
         # at a = 0, b = 1 the k = 0 and k = 1 terms both have shift 0, and
@@ -664,6 +763,38 @@ def _before_each_evaluation(monkeypatch, before):
 
     monkeypatch.setattr(altsum, "_term_table", located)
     monkeypatch.setattr(altsum._TermTable, "evaluate", observed)
+
+
+def _kernel_difference(m1, m2, m3, mr, k, g):
+    """The deletion kernel's lhs - rhs, with g(N, K) for each Gaussian
+    coefficient [N, K] and a sum over every 0 <= ell <= m1."""
+    lhs = (g(m1 + m2 + 1, m1 + k) * g(m2 + m3 + 1, m2 + k) * g(mr + m1 + 1, mr + k)).shift(k * (k - 1))
+    rhs = ZERO
+    for ell in range(m1 + 1):  # [m2+m3+1, m2-ell] vanishes for ell > m2
+        term = g(m2 + m3 + 1, m2 - ell) * g(m1 + mr + 1, m1 - ell) * g(ell + m3 + 1, ell + k) * g(mr + ell + 1, mr + k)
+        rhs = rhs + term.shift(ell * ell + ell)
+    return lhs - rhs
+
+
+def _failures_in_three_checks(monkeypatch, length):
+    """Make every evaluation at an m-vector of this length raise NotDivisible,
+    check that each of three deletion checks of ((1, 1, 1), (1, 1), 1, 2)
+    raises it, and return the (m, n, a, b) of the failed evaluations."""
+    for cache in _altsum_caches():
+        cache.cache_clear()
+    failures = []
+
+    def failing(m, n, a, b):
+        if len(m) == length:
+            failures.append((m, n, a, b))
+            raise NotDivisible(IntPoly((1,)))
+
+    _before_each_evaluation(monkeypatch, failing)
+    params = CyclicParams((1, 1, 1), (1, 1), 1, 2)
+    for _ in range(3):
+        with pytest.raises(NotDivisible):
+            deletion_check(params)
+    return failures
 
 
 def _prefactor(m, n):

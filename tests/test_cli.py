@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qpositivity import altsum
+from qpositivity import altsum, cli
 from qpositivity.altsum import CyclicParams
 from qpositivity.cli import main
 from qpositivity.qcombinat import InvalidRange
@@ -61,11 +61,31 @@ class TestVerify:
             ["verify", "deletion", "--m", "1,1,1", "--n", "1,1", "--a", "1", "--b", "2"],
             ["verify", "product", "--m1", "2", "--m2", "1", "--k", "-1"],
             ["verify", "recombine", "--m", "1,1,1", "--n", "1,1", "--ell", "1", "--k", "0"],
+            ["verify", "deletion-kernel", "--m1", "1", "--m2", "2", "--m3", "0", "--mr", "3", "--k", "1"],
         ],
     )
     def test_passing(self, argv, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("PASS")
+
+    def test_deletion_kernel(self, capsys):
+        assert main(["verify", "deletion-kernel", "--m1", "2", "--m2", "1", "--m3", "1", "--mr", "2", "--k=-1"]) == 0
+        assert capsys.readouterr().out == 'PASS deletion-kernel {"k": -1, "m1": 2, "m2": 1, "m3": 1, "mr": 2}\n'
+        for flag in ("--m1", "--m2", "--m3", "--mr"):
+            argv = ["verify", "deletion-kernel", "--m1", "1", "--m2", "1", "--m3", "1", "--mr", "1", "--k", "0"]
+            argv[argv.index(flag) + 1] = "-1"
+            assert main(argv) == 2
+            assert "deletion_kernel_check needs m1, m2, m3, mr >= 0" in capsys.readouterr().err
+        assert main(["verify", "deletion-kernel", "--m1", "1", "--m2", "1", "--m3", "1", "--k", "0"]) == 2
+        assert "missing flags: --mr" in capsys.readouterr().err
+
+    def test_readme_verify_lines_pass(self, capsys):
+        lines = [line.split() for line in (ROOT / "README.md").read_text().splitlines()
+                 if line.startswith("qpos verify ")]
+        assert {argv[2] for argv in lines} == set(cli._IDENTITIES)
+        for argv in lines:
+            assert main(argv[1:]) == 0, argv
+            assert capsys.readouterr().out.startswith("PASS " + argv[2])
 
     def test_failing_prints_difference(self, capsys):
         # The recombination relation genuinely fails at k = -1, ell = 0:
@@ -374,8 +394,9 @@ def _argv(draw, command):
         params = [str(v) for v in draw(st.lists(SMALL, max_size=3))]
         return ["compute", family, *params, *draw(_flags(("m", "n", "a", "b"))), *unsafe]
     if command == "verify":
-        identity = draw(st.sampled_from(["double-expansion", "reciprocity", "product", "deletion", "recombine"]))
-        flags = draw(_flags(("N", "h", "m", "n", "a", "b", "m1", "m2", "k", "ell")))
+        identity = draw(st.sampled_from(["double-expansion", "reciprocity", "product", "deletion", "recombine",
+                                         "deletion-kernel"]))
+        flags = draw(_flags(("N", "h", "m", "n", "a", "b", "m1", "m2", "m3", "mr", "k", "ell")))
         return ["verify", identity, *flags, *unsafe]
     checks = ",".join(draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, max_size=3)))
     if family == "F":

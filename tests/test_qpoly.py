@@ -166,9 +166,10 @@ class TestExactDiv:
 def divide_packed(p, den):
     """packed_quotient as F calls it: the dividend packed at the first width
     that holds its coefficients and den's L1 norm, with a Division by den."""
-    width = slot_bytes(max(max(map(abs, p), default=0), sum(map(abs, den))), True)
+    den_l1 = sum(map(abs, den))
+    width = slot_bytes(max(max(map(abs, p), default=0), den_l1), True)
     dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
-    return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den)
+    return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den, den_l1)
 
 
 def division_outcome(divide, p, den):
@@ -215,7 +216,8 @@ class TestPackedQuotient:
     def test_quotient_wider_than_the_dividend(self):
         def at_width(p, den, width):
             dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
-            return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den)
+            den_l1 = sum(map(abs, den))
+            return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den, den_l1)
 
         # (q - 1) * c(1 + q + ... + q^9) = -c + c q^10 fills two bytes, but
         # the certificate needs c * ||q - 1||_1 = 2c below half a slot, so
