@@ -422,7 +422,6 @@ class TestDeletion:
                 assert result.passed == expected.is_zero()
                 failed += not result.passed
             assert failed == failures
-        monkeypatch.undo()
 
     def test_kernel_edges(self):
         with pytest.raises(InvalidRange):
