@@ -102,14 +102,6 @@ class CyclicParams(namedtuple("CyclicParams", "m n a b unsafe")):
     def s(self) -> int:
         return len(self.n)
 
-    def in_theorem(self) -> bool:
-        """True when (a, b) lies in the proven window and all m_i >= 1."""
-        return (
-            0 <= self.a <= self.s
-            and 1 <= self.b <= self.r
-            and all(mi >= 1 for mi in self.m)
-        )
-
 
 def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
     """prod_i gauss_binom(m_i+m_{i+1}+1, m_i+k) * prod_j gauss_binom(n_j+n_{j+1}, n_j+k),

@@ -5,7 +5,10 @@ divisibility failure.
 
 Scans stream: each report row is written as soon as it is computed.  The
 grid, the check names and the output file are validated before the first
-row.
+row.  A row is one small record (_Row): the instance, its value, its q = 1
+value, its passed and failed checks and, for F, whether it lies outside the
+theorem.  One line function per format writes it; jsonl and json share one
+encoder that writes the sorted keys directly, the bytes json.dumps would.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import csv
 import functools
 import json
 import sys
+from fractions import Fraction
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import altsum, catalan
 from .altsum import CyclicParams
@@ -37,41 +42,55 @@ _PAIRS = {
 }
 
 
-def _q1_specialization(family: str, params: Any, poly: IntPoly | None) -> bool:
+class _Row:
+    """One scanned instance and its verdicts.  params is an (x, y) pair, or
+    CyclicParams for F; poly is None when F is not a polynomial there, and a
+    falsy poly has no degree; nonneg says whether poly is in N[q]; value is
+    the q = 1 value, an exact fraction when poly is None; out_of_theorem is
+    None for A, B and C.  The checks' names go to passed or failed as they run."""
+
+    __slots__ = ("params", "poly", "nonneg", "value", "out_of_theorem", "passed", "failed")
+
+    def __init__(self, params: Any, poly: IntPoly | None, value: int | Fraction, out_of_theorem: bool | None) -> None:
+        self.params, self.poly, self.value, self.out_of_theorem = params, poly, value, out_of_theorem
+        self.nonneg = poly is not None and poly.is_nonneg()
+        self.passed: list[str] = []
+        self.failed: list[str] = []
+
+
+def _q1_specialization(family: str, row: _Row) -> bool:
     if family == "F":
-        reference = altsum.value_at_one_reference(params)
-    else:
-        reference = _PAIRS[family][1](*params)
-    return poly is not None and reference == poly.eval_at_one()
+        return row.poly is not None and altsum.value_at_one_reference(row.params) == row.value
+    return _PAIRS[family][1](*row.params) == row.value
 
 
-def _degree_bound(family: str, params: CyclicParams, poly: IntPoly | None) -> bool:
+def _degree_bound(family: str, row: _Row) -> bool:
+    poly, params = row.poly, row.params
     return poly is not None and (poly.degree is None or poly.degree <= altsum.delta(params.m, params.n))
 
 
-def _reciprocity(family: str, params: CyclicParams, poly: IntPoly | None) -> bool:
+def _reciprocity(family: str, row: _Row) -> bool:
     try:
-        return altsum.reciprocity_check(params).passed
+        return altsum.reciprocity_check(row.params).passed
     except (NotDivisible, InvalidRange):
         return False
 
 
-def _deletion(family: str, params: CyclicParams, poly: IntPoly | None) -> bool | None:
-    if params.r < 3 or params.b < 2:
+def _deletion(family: str, row: _Row) -> bool | None:
+    if row.params.r < 3 or row.params.b < 2:
         return None  # the recurrence is undefined here
     try:
-        return altsum.deletion_check(params).passed
+        return altsum.deletion_check(row.params).passed
     except NotDivisible:
         return False
 
 
-# check -> (families it applies to, verdict on (family, instance, poly)).
-# The instance is an (x, y) pair, or CyclicParams for F; poly is its value,
-# None when F is not a polynomial there.  A verdict of None means the check
-# was skipped, not failed.
-_CHECKS: dict[str, tuple[str, Callable[..., bool | None]]] = {
-    "positivity": ("ABCF", lambda family, params, poly: poly is not None and poly.is_nonneg()),
-    "oracle-equivalence": ("C", lambda family, pair, poly: catalan.odd_super_catalan_recursive(*pair) == poly),
+# check -> (families it applies to, verdict on (family, row)).  A verdict
+# reads the row's params, poly, nonneg and value, never its check lists;
+# None means the check was skipped, not failed.
+_CHECKS: dict[str, tuple[str, Callable[[str, _Row], bool | None]]] = {
+    "positivity": ("ABCF", lambda family, row: row.nonneg),
+    "oracle-equivalence": ("C", lambda family, row: catalan.odd_super_catalan_recursive(*row.params) == row.poly),
     "q1-specialization": ("ABCF", _q1_specialization),
     "reciprocity": ("F", _reciprocity),
     "degree-bound": ("F", _degree_bound),
@@ -141,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--a", type=_int_list, help="restrict to these a values (family F)")
     p_scan.add_argument("--b", type=_int_list, help="restrict to these b values (family F)")
     p_scan.add_argument("--checks", type=str, default="positivity", help="comma-separated check names")
-    p_scan.add_argument("--format", choices=["json", "jsonl", "csv", "text"], default="jsonl")
+    p_scan.add_argument("--format", choices=list(_FORMATS), default="jsonl")
     p_scan.add_argument("--out", type=str, help="write the report to this file instead of stdout")
     p_scan.add_argument("--unsafe-params", action="store_true")
     return parser
@@ -178,111 +197,116 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
-def _pair_grid(family: str, args: argparse.Namespace) -> list[tuple[int, int]]:
-    """The (x, y) instances of an A/B/C scan, in report order."""
+def _pair_grid(family: str, args: argparse.Namespace) -> list[tuple[tuple[int, int], None]]:
+    """The (x, y) instances of an A/B/C scan, in report order, with no out_of_theorem flag."""
     if args.max_sum is None or args.max_sum < 0:
         raise InvalidRange("scan of A/B/C needs --max-sum >= 0")
     bound = args.max_sum
     if family == "B":
-        return [(n, m) for n in range(bound + 1) for m in range(n + 1)]
-    return [(m, n) for m in range(bound + 1) for n in range(bound - m + 1)]
+        return [((n, m), None) for n in range(bound + 1) for m in range(n + 1)]
+    return [((m, n), None) for m in range(bound + 1) for n in range(bound - m + 1)]
 
 
-def _f_grid(args: argparse.Namespace) -> Iterator[CyclicParams]:
-    """The instances of an F scan, in report order.  The grid is validated at
-    once, so its instances are built without a second validation."""
+def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, bool]]:
+    """The instances of an F scan, in report order, with their out_of_theorem
+    flags.  The grid and that flag are decided once per (a, b), so instances
+    are built without a second validation; only --m-min 0 tests each m."""
     if args.r is None or args.s is None or args.param_max is None:
         raise InvalidRange("scan of F needs --r, --s and --param-max")
     if args.r < 2 or args.s < 2 or args.param_max < 1 or args.m_min < 0:
         raise InvalidRange("scan of F needs r, s >= 2 and param-max >= 1 and m-min >= 0")
     a_values = dict.fromkeys(args.a) if args.a is not None else range(args.s + 1)
     b_values = dict.fromkeys(args.b) if args.b is not None else range(1, args.r + 1)
+    outside = {}
     for a, b in product(a_values, b_values):  # whether (a, b) is valid depends only on a, b, r and s
         CyclicParams((args.m_min,) * args.r, (args.param_max,) * args.s, a, b, args.unsafe_params)
-    grid = product(
-        product(range(args.m_min, args.param_max + 1), repeat=args.r),
-        product(range(1, args.param_max + 1), repeat=args.s),
-        a_values,
-        b_values,
-        (args.unsafe_params,),
-    )
-    return map(CyclicParams._make, grid)
+        outside[a, b] = not (0 <= a <= args.s and 1 <= b <= args.r)
+    unsafe, zero_m = args.unsafe_params, args.m_min == 0
+    m_values = product(range(args.m_min, args.param_max + 1), repeat=args.r)
+    grid = product(m_values, product(range(1, args.param_max + 1), repeat=args.s), outside.items())
+    return ((CyclicParams._make((m, n, a, b, unsafe)), out or zero_m and 0 in m) for m, n, ((a, b), out) in grid)
 
 
-def _rows(family: str, instances: Iterable[Any], checks: list[str]) -> Iterator[dict[str, Any]]:
-    for params in instances:
+def _rows(family: str, instances: Iterable[tuple[Any, bool | None]], checks: list[str]) -> Iterator[_Row]:
+    verdicts = [(check, _CHECKS[check][1]) for check in checks]
+    for params, out_of_theorem in instances:
         poly: IntPoly | None
         if family == "F":
             try:
                 poly = altsum.F(params)
             except NotDivisible:
                 poly = None
-            fields = {
-                "params": {"m": list(params.m), "n": list(params.n), "a": params.a, "b": params.b},
-                "out_of_theorem": not params.in_theorem(),
-            }
         else:
-            evaluate, _, names = _PAIRS[family]
-            poly = evaluate(*params)
-            fields = {"params": dict(zip(names, params))}
-        verdicts = [(check, _CHECKS[check][1](family, params, poly)) for check in checks]
-        yield {
-            "family": family,
-            **fields,
-            "is_polynomial": poly is not None,
-            "coeffs": poly.to_coeff_strings() if poly is not None else None,
-            "degree": poly.degree if poly is not None else None,
-            "nonneg": poly is not None and poly.is_nonneg(),
-            # only F can fail to be a polynomial; its q = 1 value is then an exact fraction
-            "value_at_one": str(altsum.value_at_one_reference(params) if poly is None else poly.eval_at_one()),
-            "checks_passed": [check for check, ok in verdicts if ok],
-            "checks_failed": [check for check, ok in verdicts if ok is False],
-        }
+            poly = _PAIRS[family][0](*params)
+        # only F can fail to be a polynomial; its q = 1 value is then an exact fraction
+        value = altsum.value_at_one_reference(params) if poly is None else poly.eval_at_one()
+        row = _Row(params, poly, value, out_of_theorem)
+        for check, verdict in verdicts:
+            ok = verdict(family, row)
+            if ok is not None:
+                (row.passed if ok else row.failed).append(check)
+        yield row
 
 
-def _params_text(params: dict[str, Any]) -> str:
-    return ";".join(
-        f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}"
-        for key, value in params.items()
-    )
+def _params_text(family: str, params: Any) -> str:
+    """The row's params as `key=value` pairs in report order, vectors comma-joined."""
+    if family == "F":
+        return f"m={','.join(map(str, params.m))};n={','.join(map(str, params.n))};a={params.a};b={params.b}"
+    return ";".join(f"{name}={value}" for name, value in zip(_PAIRS[family][2], params))
 
 
-_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+def _json_list(items: Sequence[Any]) -> str:
+    return '["' + '","'.join(map(str, items)) + '"]' if items else "[]"
 
 
-def _write(rows: Iterator[dict[str, Any]], fmt: str, stream: TextIO) -> tuple[int, int]:
+def _json_object(family: str, row: _Row) -> str:
+    """The row as json.dumps(..., sort_keys=True, separators=(",", ":")) writes it; its
+    strings (check names, the family, decimal integers and fractions) need no escapes."""
+    p, poly = row.params, row.poly
+    if family == "F":
+        params = (f'"out_of_theorem":{"true" if row.out_of_theorem else "false"},"params":{{"a":{p.a},"b":{p.b},'
+                  f'"m":[{",".join(map(str, p.m))}],"n":[{",".join(map(str, p.n))}]}}')
+    else:
+        params = '"params":{' + ",".join(f'"{k}":{v}' for k, v in sorted(zip(_PAIRS[family][2], p))) + "}"
+    return (f'{{"checks_failed":{_json_list(row.failed)},"checks_passed":{_json_list(row.passed)},"coeffs":'
+            f'{"null" if poly is None else _json_list(poly.coeffs)},"degree":{poly.degree if poly else "null"},'
+            f'"family":"{family}","is_polynomial":{"false" if poly is None else "true"},'
+            f'"nonneg":{"true" if row.nonneg else "false"},{params},"value_at_one":"{row.value!s}"}}')
+
+
+_CSV = csv.writer(SimpleNamespace(write=str), lineterminator="\n")  # its writerow returns the line
+
+
+def _csv_line(family: str, row: _Row) -> str:
+    return _CSV.writerow([family, _params_text(family, row.params), row.poly.degree if row.poly else "",
+                          int(row.nonneg), row.value, ";".join(row.passed), ";".join(row.failed)])
+
+
+def _text_line(family: str, row: _Row) -> str:
+    verdict = "FAIL " + ";".join(row.failed) if row.failed else "ok"
+    return (f"{family} {_params_text(family, row.params)} degree={row.poly.degree if row.poly else None} "
+            f"nonneg={int(row.nonneg)} value_at_one={row.value!s} {verdict}\n")
+
+
+# format -> (report head, (family, row) -> the row's text, row separator, report tail)
+_FORMATS: dict[str, tuple[str, Callable[[str, _Row], str], str, str]] = {
+    "json": ("[", _json_object, ",", "]\n"),  # the bytes json.dumps writes for the list of rows
+    "jsonl": ("", lambda family, row: _json_object(family, row) + "\n", "", ""),
+    "csv": ("family,params,degree,nonneg,value_at_one,checks_passed,checks_failed\n", _csv_line, "", ""),
+    "text": ("", _text_line, "", ""),
+}
+
+
+def _write(family: str, rows: Iterable[_Row], fmt: str, stream: TextIO) -> tuple[int, int]:
     """Write each row as it comes; return the numbers of rows and of failing rows."""
+    head, line, separator, tail = _FORMATS[fmt]
+    stream.write(head)
     count = failures = 0
-    writer = csv.writer(stream, lineterminator="\n")
-    if fmt == "csv":
-        writer.writerow(["family", "params", "degree", "nonneg", "value_at_one", "checks_passed", "checks_failed"])
-    elif fmt == "json":
-        stream.write("[")
     for row in rows:
-        if fmt == "csv":
-            writer.writerow([
-                row["family"],
-                _params_text(row["params"]),
-                "" if row["degree"] is None else row["degree"],
-                int(row["nonneg"]),
-                row["value_at_one"],
-                ";".join(row["checks_passed"]),
-                ";".join(row["checks_failed"]),
-            ])
-        elif fmt == "text":
-            verdict = "ok" if not row["checks_failed"] else "FAIL " + ";".join(row["checks_failed"])
-            stream.write(
-                f"{row['family']} {_params_text(row['params'])} degree={row['degree']} "
-                f"nonneg={int(row['nonneg'])} value_at_one={row['value_at_one']} {verdict}\n"
-            )
-        elif fmt == "jsonl":
-            stream.write(_json(row) + "\n")
-        else:  # json: the bytes json.dumps writes for the list of rows
-            stream.write(("," if count else "") + _json(row))
+        stream.write(separator + line(family, row) if count else line(family, row))
         count += 1
-        failures += bool(row["checks_failed"])
-    if fmt == "json":
-        stream.write("]\n")
+        failures += bool(row.failed)
+    stream.write(tail)
     return count, failures
 
 
@@ -299,7 +323,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise InvalidRange(f"cannot write {args.out}: {exc.strerror}") from exc
     with out as stream:
-        count, failures = _write(_rows(args.family, instances, checks), args.format, stream)
+        count, failures = _write(args.family, _rows(args.family, instances, checks), args.format, stream)
     print(f"scanned {count} instances, {failures} failures", file=sys.stderr)
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 

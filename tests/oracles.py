@@ -7,11 +7,14 @@ ratios of q-factorials on its IntPoly arithmetic, f_k_sum, the package's
 earlier route for F on top of it, deletion_difference, the deletion
 recurrence summed from f_k_sum, and gauss_binom_pascal, the Gaussian
 coefficient by the q-Pascal recurrence on IntPoly addition and shifts.
+scan_report_json writes a jsonl or json scan report as the package once
+did: a dict per row, through json.dumps.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
+import json
+from functools import cache, lru_cache, partial, reduce
 from operator import mul
 
 import sympy
@@ -145,3 +148,36 @@ def sym_alternating_sum(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int):
     num = expand(sym_qfact(m[0]) * sym_qfact(n1) * sym_qfact(m[-1] + n[-1] + 1) * expand(total))
     den = expand(sym_qfact(m[0] + m[-1] + 1) * sym_qfact(n1 + n[-1]))
     return exquo(num, den, q)
+
+
+# The parameter names of an A, B or C report row, in the order the pair is given.
+_PAIR_NAMES = {"A": ("m", "n"), "B": ("n", "m"), "C": ("m", "n")}
+
+
+def scan_report_json(family, rows, fmt) -> str:
+    """A `scan --format jsonl` or `json` report as the package once wrote it:
+    one dict per row, encoded by json.dumps(sort_keys=True, separators=(",",
+    ":")), a line per row or one list.  Each row is (params, coeffs,
+    value_at_one, passed, failed, out_of_theorem): params is the (x, y)
+    pair, or (m, n, a, b) for F; coeffs is None when F is not a polynomial
+    there; out_of_theorem is read for F only."""
+    dicts = []
+    for params, coeffs, value_at_one, passed, failed, out_of_theorem in rows:
+        if family == "F":
+            m, n, a, b = params
+            fields = {"params": {"m": list(m), "n": list(n), "a": a, "b": b}, "out_of_theorem": out_of_theorem}
+        else:
+            fields = {"params": dict(zip(_PAIR_NAMES[family], params))}
+        dicts.append({
+            "family": family,
+            **fields,
+            "is_polynomial": coeffs is not None,
+            "coeffs": None if coeffs is None else [str(c) for c in coeffs],
+            "degree": len(coeffs) - 1 if coeffs else None,
+            "nonneg": coeffs is not None and all(c >= 0 for c in coeffs),
+            "value_at_one": str(value_at_one),
+            "checks_passed": list(passed),
+            "checks_failed": list(failed),
+        })
+    dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    return "".join(dumps(row) + "\n" for row in dicts) if fmt == "jsonl" else dumps(dicts) + "\n"

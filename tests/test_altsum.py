@@ -84,7 +84,7 @@ class TestCyclicParams:
 
     def test_unsafe_waives_window_only(self):
         p = CyclicParams((1, 1), (1, 1), 5, 1, unsafe=True)
-        assert not p.in_theorem()
+        assert (p.a, p.b) == (5, 1)
         with pytest.raises(InvalidRange):
             CyclicParams((1, 1), (0, 1), 5, 1, unsafe=True)
 
@@ -241,7 +241,7 @@ class TestF:
     def test_unsafe_equals_k_sum_oracle(self, m, n, a, b):
         # outside the window (a = s + 1, b = r + 1, b = 0) yet past the exponent check
         params = CyclicParams(m, n, a, b, unsafe=True)
-        assert not params.in_theorem()
+        assert not (0 <= a <= len(n) and 1 <= b <= len(m))
         assert F(params) == f_k_sum(m, n, a, b)
 
     @settings(max_examples=120, deadline=None)

@@ -20,6 +20,8 @@ from qpositivity.cli import main
 from qpositivity.qcombinat import InvalidRange
 from qpositivity.qpoly import IntPoly, NotDivisible
 
+from oracles import scan_report_json
+
 
 class TestCompute:
     def test_compute_c_initial(self, capsys):
@@ -203,6 +205,19 @@ class TestScan:
         assert code in (0, 1)
         assert all(json.loads(line)["out_of_theorem"] for line in lines)
 
+    @pytest.mark.parametrize("m_min", [0, 1])
+    def test_out_of_theorem_flags(self, m_min, capsys):
+        # decided once per (a, b), and per row only when an m entry can be 0
+        argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "1", "--m-min", str(m_min),
+                "--a", "0,2,3", "--b", "1,3,4", "--checks", "positivity", "--unsafe-params"]
+        assert main(argv) in (0, 1)
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == (2 - m_min) ** 3 * 9
+        for row in rows:
+            p = row["params"]
+            inside = p["a"] <= 2 and p["b"] <= 3 and min(p["m"]) >= 1
+            assert row["out_of_theorem"] is not inside, p
+
     def test_out_not_created_on_invalid_grid(self, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
         assert main(["scan", "F", "--param-max", "2", "--out", str(out)]) == 2
@@ -285,6 +300,51 @@ class TestScan:
         assert all(not r["checks_failed"] for r in rows if r is not row)
 
 
+@st.composite
+def _report_rows(draw):
+    """A family and up to three rows of it, each as the writer's record and as
+    the oracle's tuple.  Coefficients are small or wider than 64 bits, of
+    either sign, and may cancel to the zero polynomial; an F row may be no
+    polynomial, with a fractional q = 1 value; the checks all pass, all fail
+    or mix passed, failed and skipped."""
+    family = draw(st.sampled_from("ABCF"))
+    names = draw(st.permutations(list(cli._CHECKS)))
+    records, tuples = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        if family == "F":
+            vector = st.lists(st.integers(0, 12), min_size=2, max_size=4).map(tuple)
+            raw = (draw(vector), draw(vector), draw(st.integers(0, 9)), draw(st.integers(0, 9)))
+            params = CyclicParams._make((*raw, True))
+        else:
+            params = raw = (draw(st.integers(0, 40)), draw(st.integers(0, 40)))
+        coeff = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200))
+        if family == "F" and draw(st.booleans()):
+            poly, value = None, draw(st.fractions())
+        else:
+            poly = IntPoly(draw(st.lists(coeff, max_size=6)))
+            value = poly.eval_at_one()
+        verdicts = draw(st.one_of(st.just([True] * len(names)), st.just([False] * len(names)),
+                                  st.lists(st.sampled_from([True, False, None]), min_size=len(names),
+                                           max_size=len(names))))
+        out = draw(st.booleans()) if family == "F" else None
+        record = cli._Row(params, poly, value, out)
+        record.passed.extend(name for name, ok in zip(names, verdicts) if ok)
+        record.failed.extend(name for name, ok in zip(names, verdicts) if ok is False)
+        records.append(record)
+        tuples.append((raw, None if poly is None else poly.coeffs, value, record.passed, record.failed, out))
+    return family, records, tuples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_rows())
+def test_json_writer_against_dumps_oracle(drawn):
+    family, records, tuples = drawn
+    for fmt in ("jsonl", "json"):
+        stream = io.StringIO()
+        assert cli._write(family, records, fmt, stream) == (len(records), sum(bool(r.failed) for r in records))
+        assert stream.getvalue() == scan_report_json(family, tuples, fmt)
+
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
 FORMATS = ("jsonl", "json", "csv", "text")
@@ -348,17 +408,25 @@ def test_scan_f_digest(tmp_path):
     )
 
 
-def test_scan_f_out_of_window_digest(tmp_path):
+OUT_OF_WINDOW_DIGESTS = {
+    "jsonl": "c7fc7bceba4d7b591334d623777c72a1ce2f7a05599b2174d3696ab659452de1",
+    "json": "6dbeb85d6eb2993d7ae5a3c12b47f390e6d7bed310b93067d2ddc54c89ddf5e4",
+    "csv": "d0611a3ad5a25a4028cd5b0b3c38ab369b786b9ab2072ab4d59070f7ef157075",
+    "text": "ff1d802572aeecb0c4abb7c01d4d6efdbd7a8f2829633d651f28c519be165507",
+}
+
+
+@pytest.mark.parametrize("fmt", OUT_OF_WINDOW_DIGESTS)
+def test_scan_f_out_of_window_digest(fmt, tmp_path):
     # m_i = 0, a > s, b > r and the validated unsafe dual, which the golden
-    # reports and the in-window digest do not reach: 3888 rows, many failing
-    out = tmp_path / "f.jsonl"
+    # reports and the in-window digest do not reach: 3888 rows, many failing,
+    # in every format
+    out = tmp_path / f"f.{fmt}"
     argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2", "--m-min", "0",
             "--a", "0,1,2,3,4,5", "--b", "1,2,3,4,5,6", "--unsafe-params",
             "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization"]
-    assert main(argv + ["--format", "jsonl", "--out", str(out)]) == 1
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c7fc7bceba4d7b591334d623777c72a1ce2f7a05599b2174d3696ab659452de1"
-    )
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUT_OF_WINDOW_DIGESTS[fmt]
 
 
 # -- the exit-code contract on arbitrary argv ----------------------------------
