@@ -600,24 +600,31 @@ class TestTermTable:
             assert not tables
 
     def test_scan_evaluates_each_instance_once(self, monkeypatch, tmp_path):
-        for cache in _altsum_caches():
-            cache.cache_clear()
-        calls = Counter()
+        # every reciprocity dual is an instance too, and then, with --a 1
+        # --b 2,3, every dual (2, 2) or (2, 1) lies outside the points
+        for s, a_values, b_values, counts in [(2, range(3), range(1, 4), (288, 0, 144)),
+                                              (3, (1,), (2, 3), (128, 128, 96))]:
+            for cache in _altsum_caches():
+                cache.cache_clear()
+            calls = Counter()
 
-        def counted(m, n, a, b):
-            calls[m, n, a, b] += 1
+            def counted(m, n, a, b):
+                calls[m, n, a, b] += 1
 
-        _before_each_evaluation(monkeypatch, counted)
-        argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2",
-                "--checks", "deletion,reciprocity", "--out", str(tmp_path / "report.jsonl")]
-        assert main(argv) == 0
-        # the instances, whose reciprocity duals are instances too, and the
-        # deletion sub-instances ((ell, m3), n, a, b - 1) with ell <= min(m1, m2)
-        grid = list(product(product((1, 2), repeat=3), product((1, 2), repeat=2), range(3), range(1, 4)))
-        subs = {((ell, m[2]), n, a, b - 1) for m, n, a, b in grid if b >= 2 for ell in range(min(m[:2]) + 1)}
-        assert set(calls) == set(grid) | subs
-        assert len(calls) == 288 + 144
-        assert set(calls.values()) == {1}
+            _before_each_evaluation(monkeypatch, counted)
+            argv = ["scan", "F", "--r", "3", "--s", str(s), "--param-max", "2",
+                    "--a", ",".join(map(str, a_values)), "--b", ",".join(map(str, b_values)),
+                    "--checks", "deletion,reciprocity", "--out", str(tmp_path / "report.jsonl")]
+            assert main(argv) == 0
+            monkeypatch.undo()
+            # the instances, their reciprocity duals, and the deletion
+            # sub-instances ((ell, m3), n, a, b - 1) with ell <= min(m1, m2)
+            grid = list(product(product((1, 2), repeat=3), product((1, 2), repeat=s), a_values, b_values))
+            duals = {(m, n, s - a, 3 - b + 1) for m, n, a, b in grid}
+            subs = {((ell, m[2]), n, a, b - 1) for m, n, a, b in grid if b >= 2 for ell in range(min(m[:2]) + 1)}
+            assert set(calls) == set(grid) | duals | subs
+            assert (len(grid), len(duals - set(grid)), len(subs)) == counts
+            assert set(calls.values()) == {1}
 
     def test_deletion_agrees_with_f_called_directly(self):
         grid = [CyclicParams(m, n, a, b) for m, n in product(product((1, 2), repeat=3), product((1, 2), repeat=2))

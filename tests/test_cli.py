@@ -408,6 +408,24 @@ def test_scan_f_digest(tmp_path):
     )
 
 
+RESTRICTED_DIGESTS = {
+    "jsonl": "5b0a2ad464e3ffe4b087410932386618b3cb56ee7368f4f7416c40e137b59b70",
+    "text": "b0f7d8dbe46a03d2ff784ab6183fd6c7ea212f7fdc34b66eb84f18991e15e43f",
+}
+
+
+@pytest.mark.parametrize("fmt", RESTRICTED_DIGESTS)
+def test_scan_f_restricted_digest(fmt, tmp_path):
+    # --a 1 --b 2,3 leaves out every reciprocity dual (2, 2) and (2, 1), so
+    # each row's dual is evaluated outside the scanned points: 128 rows
+    out = tmp_path / f"f.{fmt}"
+    argv = ["scan", "F", "--r", "3", "--s", "3", "--param-max", "2", "--a", "1", "--b", "2,3",
+            "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization"]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    assert len(out.read_bytes().splitlines()) == 128
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RESTRICTED_DIGESTS[fmt]
+
+
 OUT_OF_WINDOW_DIGESTS = {
     "jsonl": "c7fc7bceba4d7b591334d623777c72a1ce2f7a05599b2174d3696ab659452de1",
     "json": "6dbeb85d6eb2993d7ae5a3c12b47f390e6d7bed310b93067d2ddc54c89ddf5e4",
