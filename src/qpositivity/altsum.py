@@ -30,11 +30,17 @@ and the Division names the Phi_d exponent.
 The deletion recurrence holds term by term in k, and each k-term reduces
 to a kernel identity in (m1, m2, m3, m_r, k) alone (deletion_kernel_check).
 So the deletion check is decided by three cached verdicts: the kernel holds
-at every k in [-n1, n1], F is a polynomial at the instance, and F is a
-polynomial at every sub-instance.  Only when a kernel fails does it take
-the summed route: F at each sub-instance from a table of its own, and the
-whole difference lhs - rhs packed at one width, each deletion coefficient
-the product of two packed Gaussian coefficients.
+at every k in [-n1, n1], one verdict per k, F is a polynomial at the
+instance, and F is a polynomial at every sub-instance.  Only when a kernel
+fails does it take the summed route: F at each sub-instance from a table of
+its own, and the whole difference lhs - rhs packed at one width, each
+deletion coefficient the product of two packed Gaussian coefficients.
+
+F is the entry for one instance.  A scan walks its grid one (m, n) at a
+time, through a Block: the term table evaluates each requested (a, b) once,
+the q = 1 value, delta and the kernels' verdict are looked up once, and
+each row's reciprocity and deletion verdicts are read from the block,
+through the same predicates as reciprocity_check and deletion_check.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -46,14 +52,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from operator import add
 from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
 from .qcombinat import q_poch, q_ratio, ratio_at_one
-from .qpoly import IntPoly, ZERO, pack, packed_quotient, product, shifted_sum, slot_bytes, unpack
+from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, shifted_sum, slot_bytes, unpack
 
 
 class CyclicParams(namedtuple("CyclicParams", "m n a b unsafe")):
@@ -155,15 +161,16 @@ class _TermTable:
         return packed_quotient(dividend, count, self.width, self.divide, self.divisor, self.divisor_l1)
 
 
-# Eight bounded caches.  A term table is reused within one (m, n) block of a
-# scan and by the few deletion sub-instance tables it meets, so 16 suffice,
-# and 16 values of delta.  The r = s = 4, param-max 3 grid packs 60 of the
-# 256 factors, the deletion kernels' Gaussian coefficients among them, and
-# splits 108 of the 256 prefactors.  F's 64 values cover a
-# block's instances and their duals.  The deletion sub-instances recur only
-# after a sweep over every m2, so only their verdicts are kept: 4096 sets of
-# polynomial (a, b), one per sub-instance (m, n), hold all 324 at r = s = 3
-# and all 2916 at r = s = 4, and 256 kernel verdicts all 81 and 243.
+# Six bounded caches.  A scan evaluates each block's points from one term
+# table, and 16 tables hold it and the few deletion sub-instance tables its
+# rows meet.  The r = s = 4, param-max 3 grid packs 56 of the 256 factors,
+# the deletion kernels' Gaussian coefficients among them, and splits 108 of
+# the 256 prefactors.  F's 64 values serve single instances: verify, the
+# summed deletion route and a scan's reciprocity duals outside its points.
+# The deletion sub-instances recur only after a sweep over every m2, so only
+# their verdicts are kept: 4096 sets of polynomial (a, b), one per
+# sub-instance (m, n), hold all 324 at r = s = 3 and all 2916 at r = s = 4,
+# and 1024 kernel verdicts, one per (m1, m2, m3, m_r, k), all 189 and 567.
 _split_prefactor = lru_cache(maxsize=256)(cyclotomic_split)
 
 
@@ -206,13 +213,18 @@ def _polynomial_points(m: tuple[int, ...], n: tuple[int, ...]) -> set[tuple[int,
     return set()
 
 
-@lru_cache(maxsize=256)
-def _kernels_hold(m1: int, m2: int, m3: int, mr: int, n1: int) -> bool:
-    """Whether the deletion kernel holds at every k in [-n1, n1]."""
-    return all(deletion_kernel_check(m1, m2, m3, mr, k).passed for k in range(-n1, n1 + 1))
+@lru_cache(maxsize=1024)
+def _kernels_hold(m1: int, m2: int, m3: int, mr: int, k: int) -> bool:
+    """Whether the deletion kernel holds at k."""
+    return deletion_kernel_check(m1, m2, m3, mr, k).passed
 
 
-@lru_cache(maxsize=16)
+def _every_kernel_holds(m: tuple[int, ...], n1: int) -> bool:
+    """Whether the deletion kernel of the m-vector m holds at every k in [-n1, n1]."""
+    m1, m2, m3 = m[:3]
+    return all(_kernels_hold(m1, m2, m3, m[-1], k) for k in range(-n1, n1 + 1))
+
+
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:
     """The reciprocity exponent; also an upper bound for deg F."""
     r, s = len(m), len(n)
@@ -238,7 +250,6 @@ def value_at_one_reference(params: CyclicParams) -> Fraction:
     return _value_at_one(params.m, params.n)
 
 
-@lru_cache(maxsize=16)
 def _value_at_one(m: tuple[int, ...], n: tuple[int, ...]) -> Fraction:
     r, s = len(m), len(n)
     n1 = n[0]
@@ -253,27 +264,37 @@ def _value_at_one(m: tuple[int, ...], n: tuple[int, ...]) -> Fraction:
     return ratio_at_one((m[0], n1, m[-1] + n[-1] + 1), (m[0] + m[-1] + 1, n1 + n[-1])) * total
 
 
-def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
-    """Check that reversing F(s-a, r-b+1) at degree delta(m, n) recovers
-    F(a, b), together with the degree bound making the reversal lossless."""
+def _reciprocity_dual(params: CyclicParams) -> CyclicParams:
+    """The instance at (s-a, r-b+1).  An in-window instance's dual is in the
+    window; an unsafe one's is validated, and InvalidRange names it."""
     key = (params.m, params.n, params.s - params.a, params.r - params.b + 1, params.unsafe)
-    # an in-window instance's dual is in the window; an unsafe one's is validated
     try:
-        dual = CyclicParams(*key) if params.unsafe else CyclicParams._make(key)
+        return CyclicParams(*key) if params.unsafe else CyclicParams._make(key)
     except InvalidRange:
         raise InvalidRange(
             f"the reciprocity dual (s-a, r-b+1) = ({key[2]}, {key[3]}) of a={params.a}, b={params.b}"
             " is out of range"
         ) from None
+
+
+def _reciprocal(p: IntPoly, q: IntPoly, bound: int) -> bool:
+    """The reciprocity verdict: deg q <= bound, and q reversed at degree bound is p."""
+    pad = bound + 1 - len(q.coeffs)
+    return pad >= 0 and p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == (0,) * pad + q.coeffs[::-1]
+
+
+def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
+    """Check that reversing F(s-a, r-b+1) at degree delta(m, n) recovers
+    F(a, b), together with the degree bound making the reversal lossless."""
+    dual = _reciprocity_dual(params)
     p, q = F(params), F(dual)
     bound = delta(params.m, params.n)
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
-    if q.degree is not None and q.degree > bound:
-        return IdentityCheckResult("reciprocity", info, False, q)
-    # the difference is built only when the coefficients differ
-    reversed_q = (0,) * (bound + 1 - len(q.coeffs)) + q.coeffs[::-1]
-    same = p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == reversed_q
-    return IdentityCheckResult("reciprocity", info, same, ZERO if same else q.reverse_to_degree(bound) - p)
+    if _reciprocal(p, q, bound):
+        return IdentityCheckResult("reciprocity", info, True, ZERO)
+    # the difference is built only when the check fails; past the bound it is q
+    difference = q if len(q.coeffs) > bound + 1 else q.reverse_to_degree(bound) - p
+    return IdentityCheckResult("reciprocity", info, False, difference)
 
 
 def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
@@ -358,18 +379,26 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
             f"deletion_check requires r >= 3 and 2 <= b <= r, got r={params.r}, b={params.b}"
         )
     m, n, a, b = params.m, params.n, params.a, params.b
-    m1, m2, m3 = m[:3]
-    if not _kernels_hold(m1, m2, m3, m[-1], n[0]):
+    if not _every_kernel_holds(m, n[0]):
         return _deletion_check(params)
     F(params)
+    _check_sub_instances(m, n, a, b)
+    return IdentityCheckResult("deletion", {"m": m, "n": n, "a": a, "b": b}, True, ZERO)
+
+
+def _check_sub_instances(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> None:
+    """Raise NotDivisible unless F is a polynomial at every deletion
+    sub-instance ((ell, m3, ..., m_r), n, a, b - 1) with ell <= min(m1, m2):
+    the verdict of a deletion check at a polynomial instance whose kernels
+    hold.  Each sub-instance is evaluated once, and only the verdict is
+    kept."""
     point = (a, b - 1)
-    for ell in range(min(m1, m2) + 1):
+    for ell in range(min(m[0], m[1]) + 1):
         sub = (ell,) + m[2:]
         passed = _polynomial_points(sub, n)
         if point not in passed:
             _sub_instance(sub, n, a, b - 1)
             passed.add(point)
-    return IdentityCheckResult("deletion", {"m": m, "n": n, "a": a, "b": b}, True, ZERO)
 
 
 def _deletion_check(params: CyclicParams) -> IdentityCheckResult:
@@ -399,6 +428,66 @@ def _deletion_check(params: CyclicParams) -> IdentityCheckResult:
     difference = IntPoly(unpack(diff, width, count, True)) if diff else ZERO
     info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
     return IdentityCheckResult("deletion", info, not diff, difference)
+
+
+class Block:
+    """F at the (a, b) of points for one (m, n), the unit a scan walks, and
+    the verdicts of F's checks at them.  values maps each (a, b) to F there,
+    evaluated once from the term table, or to None where F is not a
+    polynomial; so a block holds at most len(points) polynomials.  The
+    q = 1 value, delta and the deletion kernels' verdict do not depend on
+    (a, b), and each is looked up once, when first asked for."""
+
+    def __init__(self, m: tuple[int, ...], n: tuple[int, ...], points: Iterable[tuple[int, int]]) -> None:
+        self.m, self.n = m, n
+        evaluate = _term_table(m, n).evaluate
+        self.values: dict[tuple[int, int], IntPoly | None] = {}
+        for a, b in points:
+            try:
+                self.values[a, b] = evaluate(a, b)
+            except NotDivisible:
+                self.values[a, b] = None
+
+    @cached_property
+    def at_one(self) -> Fraction:
+        return _value_at_one(self.m, self.n)
+
+    @cached_property
+    def delta(self) -> int:
+        return delta(self.m, self.n)
+
+    @cached_property
+    def kernels(self) -> bool:
+        return _every_kernel_holds(self.m, self.n[0])
+
+    def reciprocal(self, params: CyclicParams, p: IntPoly | None) -> bool:
+        """reciprocity_check's verdict at params, where F is p.  The dual's
+        value comes from the block when the dual is among its points, and
+        otherwise from F."""
+        if p is None:
+            return False
+        dual = (params.s - params.a, params.r - params.b + 1)
+        try:
+            q = self.values[dual] if dual in self.values else F(_reciprocity_dual(params))
+        except (NotDivisible, InvalidRange):
+            return False
+        return q is not None and _reciprocal(p, q, self.delta)
+
+    def deletion(self, params: CyclicParams, p: IntPoly | None) -> bool | None:
+        """deletion_check's verdict at params, where F is p, a NotDivisible
+        counting as a failure, or None where the recurrence is undefined
+        (r < 3 or b < 2)."""
+        if params.r < 3 or params.b < 2:
+            return None
+        try:
+            if not self.kernels:
+                return _deletion_check(params).passed
+            if p is None:
+                return False
+            _check_sub_instances(self.m, self.n, params.a, params.b)
+        except NotDivisible:
+            return False
+        return True
 
 
 def recombine_check(

@@ -5,9 +5,13 @@ divisibility failure.
 
 Scans stream: each report row is written as soon as it is computed.  The
 grid, the check names and the output file are validated before the first
-row.  A row is one small record (_Row): the instance, its value, its q = 1
-value, its passed and failed checks and, for F, whether it lies outside the
-theorem.  One line function per format writes it; jsonl and json share one
+row.  An F grid is walked one (m, n) block at a time (altsum.Block): F at
+each requested (a, b) is evaluated first, then the block's rows are decided
+from those values and written, so a block holds at most |a|·|b|
+polynomials and is dropped after its rows are written.  A row is one small
+record (_Row): the instance, its value, its q = 1 value, its passed and
+failed checks and, for F, whether it lies outside the theorem and its
+block.  One line function per format writes it; jsonl and json share one
 encoder that writes the sorted keys directly, the bytes json.dumps would.
 """
 
@@ -46,13 +50,16 @@ class _Row:
     """One scanned instance and its verdicts.  params is an (x, y) pair, or
     CyclicParams for F; poly is None when F is not a polynomial there, and a
     falsy poly has no degree; nonneg says whether poly is in N[q]; value is
-    the q = 1 value, an exact fraction when poly is None; out_of_theorem is
-    None for A, B and C.  The checks' names go to passed or failed as they run."""
+    the q = 1 value, an exact fraction when poly is None; out_of_theorem and
+    block, the altsum.Block of the row's (m, n), are None for A, B and C.
+    The checks' names go to passed or failed as they run."""
 
-    __slots__ = ("params", "poly", "nonneg", "value", "out_of_theorem", "passed", "failed")
+    __slots__ = ("params", "poly", "nonneg", "value", "out_of_theorem", "block", "passed", "failed")
 
-    def __init__(self, params: Any, poly: IntPoly | None, value: int | Fraction, out_of_theorem: bool | None) -> None:
+    def __init__(self, params: Any, poly: IntPoly | None, value: int | Fraction, out_of_theorem: bool | None,
+                 block: altsum.Block | None = None) -> None:
         self.params, self.poly, self.value, self.out_of_theorem = params, poly, value, out_of_theorem
+        self.block = block
         self.nonneg = poly is not None and poly.is_nonneg()
         self.passed: list[str] = []
         self.failed: list[str] = []
@@ -60,41 +67,25 @@ class _Row:
 
 def _q1_specialization(family: str, row: _Row) -> bool:
     if family == "F":
-        return row.poly is not None and altsum.value_at_one_reference(row.params) == row.value
+        return row.poly is not None and row.block.at_one == row.value
     return _PAIRS[family][1](*row.params) == row.value
 
 
 def _degree_bound(family: str, row: _Row) -> bool:
-    poly, params = row.poly, row.params
-    return poly is not None and (poly.degree is None or poly.degree <= altsum.delta(params.m, params.n))
-
-
-def _reciprocity(family: str, row: _Row) -> bool:
-    try:
-        return altsum.reciprocity_check(row.params).passed
-    except (NotDivisible, InvalidRange):
-        return False
-
-
-def _deletion(family: str, row: _Row) -> bool | None:
-    if row.params.r < 3 or row.params.b < 2:
-        return None  # the recurrence is undefined here
-    try:
-        return altsum.deletion_check(row.params).passed
-    except NotDivisible:
-        return False
+    poly = row.poly
+    return poly is not None and (poly.degree is None or poly.degree <= row.block.delta)
 
 
 # check -> (families it applies to, verdict on (family, row)).  A verdict
-# reads the row's params, poly, nonneg and value, never its check lists;
-# None means the check was skipped, not failed.
+# reads the row's params, poly, nonneg, value and block, never its check
+# lists; None means the check was skipped, not failed.
 _CHECKS: dict[str, tuple[str, Callable[[str, _Row], bool | None]]] = {
     "positivity": ("ABCF", lambda family, row: row.nonneg),
     "oracle-equivalence": ("C", lambda family, row: catalan.odd_super_catalan_recursive(*row.params) == row.poly),
     "q1-specialization": ("ABCF", _q1_specialization),
-    "reciprocity": ("F", _reciprocity),
+    "reciprocity": ("F", lambda family, row: row.block.reciprocal(row.params, row.poly)),
     "degree-bound": ("F", _degree_bound),
-    "deletion": ("F", _deletion),
+    "deletion": ("F", lambda family, row: row.block.deletion(row.params, row.poly)),
 }
 
 
@@ -197,20 +188,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
-def _pair_grid(family: str, args: argparse.Namespace) -> list[tuple[tuple[int, int], None]]:
-    """The (x, y) instances of an A/B/C scan, in report order, with no out_of_theorem flag."""
+def _pair_grid(family: str, args: argparse.Namespace) -> list[tuple[tuple[int, int], None, None]]:
+    """The (x, y) instances of an A/B/C scan, in report order, with no out_of_theorem flag and no block."""
     if args.max_sum is None or args.max_sum < 0:
         raise InvalidRange("scan of A/B/C needs --max-sum >= 0")
     bound = args.max_sum
     if family == "B":
-        return [((n, m), None) for n in range(bound + 1) for m in range(n + 1)]
-    return [((m, n), None) for m in range(bound + 1) for n in range(bound - m + 1)]
+        return [((n, m), None, None) for n in range(bound + 1) for m in range(n + 1)]
+    return [((m, n), None, None) for m in range(bound + 1) for n in range(bound - m + 1)]
 
 
-def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, bool]]:
+def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, bool, altsum.Block]]:
     """The instances of an F scan, in report order, with their out_of_theorem
-    flags.  The grid and that flag are decided once per (a, b), so instances
-    are built without a second validation; only --m-min 0 tests each m."""
+    flags and the block of their (m, n).  The grid and that flag are decided
+    once per (a, b), so instances are built without a second validation;
+    only --m-min 0 tests each m.  The grid is (m, n)-major, so each block is
+    made when its first row is asked for and dropped after its last."""
     if args.r is None or args.s is None or args.param_max is None:
         raise InvalidRange("scan of F needs --r, --s and --param-max")
     if args.r < 2 or args.s < 2 or args.param_max < 1 or args.m_min < 0:
@@ -223,24 +216,20 @@ def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, bool]]:
         outside[a, b] = not (0 <= a <= args.s and 1 <= b <= args.r)
     unsafe, zero_m = args.unsafe_params, args.m_min == 0
     m_values = product(range(args.m_min, args.param_max + 1), repeat=args.r)
-    grid = product(m_values, product(range(1, args.param_max + 1), repeat=args.s), outside.items())
-    return ((CyclicParams._make((m, n, a, b, unsafe)), out or zero_m and 0 in m) for m, n, ((a, b), out) in grid)
+    n_values = product(range(1, args.param_max + 1), repeat=args.s)
+    blocks = (altsum.Block(m, n, outside) for m, n in product(m_values, n_values))
+    return ((CyclicParams._make((block.m, block.n, a, b, unsafe)), out or zero_m and 0 in block.m, block)
+            for block in blocks for (a, b), out in outside.items())
 
 
-def _rows(family: str, instances: Iterable[tuple[Any, bool | None]], checks: list[str]) -> Iterator[_Row]:
+def _rows(family: str, instances: Iterable[tuple[Any, bool | None, altsum.Block | None]],
+          checks: list[str]) -> Iterator[_Row]:
     verdicts = [(check, _CHECKS[check][1]) for check in checks]
-    for params, out_of_theorem in instances:
-        poly: IntPoly | None
-        if family == "F":
-            try:
-                poly = altsum.F(params)
-            except NotDivisible:
-                poly = None
-        else:
-            poly = _PAIRS[family][0](*params)
+    for params, out_of_theorem, block in instances:
+        poly = _PAIRS[family][0](*params) if block is None else block.values[params.a, params.b]
         # only F can fail to be a polynomial; its q = 1 value is then an exact fraction
-        value = altsum.value_at_one_reference(params) if poly is None else poly.eval_at_one()
-        row = _Row(params, poly, value, out_of_theorem)
+        value = block.at_one if poly is None else poly.eval_at_one()
+        row = _Row(params, poly, value, out_of_theorem, block)
         for check, verdict in verdicts:
             ok = verdict(family, row)
             if ok is not None:

@@ -8,20 +8,32 @@ earlier route for F on top of it, deletion_difference, the deletion
 recurrence summed from f_k_sum, and gauss_binom_pascal, the Gaussian
 coefficient by the q-Pascal recurrence on IntPoly addition and shifts.
 scan_report_json writes a jsonl or json scan report as the package once
-did: a dict per row, through json.dumps.
+did: a dict per row, through json.dumps.  f_scan_rows decides the rows of
+an F scan one instance at a time, as the package once did, through its
+single-instance entries.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache, lru_cache, partial, reduce
+from itertools import product
 from operator import mul
 
 import sympy
 from sympy import S, expand, exquo, prod, symbols
 
-from qpositivity.altsum import cyclic_product
-from qpositivity.qpoly import IntPoly, ONE, ZERO
+from qpositivity.altsum import (
+    CyclicParams,
+    F,
+    cyclic_product,
+    deletion_check,
+    delta,
+    reciprocity_check,
+    value_at_one_reference,
+)
+from qpositivity.qcombinat import InvalidRange
+from qpositivity.qpoly import IntPoly, NotDivisible, ONE, ZERO
 
 q = symbols("q")
 
@@ -181,3 +193,44 @@ def scan_report_json(family, rows, fmt) -> str:
         })
     dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
     return "".join(dumps(row) + "\n" for row in dicts) if fmt == "jsonl" else dumps(dicts) + "\n"
+
+
+def f_scan_rows(r, s, param_max, m_min, a_values, b_values, unsafe, checks) -> list[tuple]:
+    """The rows of `scan F`, as scan_report_json takes them, decided one
+    instance at a time: F at each instance, and each check through the
+    package's single-instance entries, reciprocity_check(...).passed,
+    deletion_check(...).passed, value_at_one_reference and delta.  A check
+    that raises NotDivisible or InvalidRange fails; deletion is skipped
+    where r < 3 or b < 2.  a_values or b_values None means the window;
+    repeated values count once.  Raises InvalidRange for an invalid (a, b)."""
+    a_values = range(s + 1) if a_values is None else dict.fromkeys(a_values)
+    b_values = range(1, r + 1) if b_values is None else dict.fromkeys(b_values)
+    rows = []
+    for m, n in product(product(range(m_min, param_max + 1), repeat=r), product(range(1, param_max + 1), repeat=s)):
+        for a, b in product(a_values, b_values):
+            params = CyclicParams(m, n, a, b, unsafe)
+            try:
+                poly = F(params)
+            except NotDivisible:
+                poly = None
+            value = value_at_one_reference(params) if poly is None else poly.eval_at_one()
+            passed, failed = [], []
+            for check in checks:
+                try:
+                    if check == "positivity":
+                        ok = poly is not None and all(c >= 0 for c in poly.coeffs)
+                    elif check == "q1-specialization":
+                        ok = poly is not None and value == value_at_one_reference(params)
+                    elif check == "degree-bound":
+                        ok = poly is not None and (poly.degree is None or poly.degree <= delta(m, n))
+                    elif check == "reciprocity":
+                        ok = reciprocity_check(params).passed
+                    else:
+                        ok = None if r < 3 or b < 2 else deletion_check(params).passed
+                except (NotDivisible, InvalidRange):
+                    ok = False
+                if ok is not None:
+                    (passed if ok else failed).append(check)
+            out_of_theorem = not (0 <= a <= s and 1 <= b <= r) or 0 in m
+            rows.append(((m, n, a, b), None if poly is None else poly.coeffs, value, passed, failed, out_of_theorem))
+    return rows

@@ -468,6 +468,22 @@ class TestDeletion:
             qcombinat.IdentityCheckResult("deletion", {"m": (1, 1, 1), "n": (3, 1), "a": 1, "b": 2}, True, ZERO)
         )
 
+    def test_overlapping_k_ranges_decide_each_kernel_once(self, monkeypatch, capsys):
+        # n1 = 1, 3, 2, 3 ask for the kernels of (1, 2, 1, 2) at |k| <= n1;
+        # their union, -3 <= k <= 3, is seven kernels, each decided once
+        altsum._kernels_hold.cache_clear()
+        kernel, decided = altsum.deletion_kernel_check, Counter()
+
+        def counted(*key):
+            decided[key] += 1
+            return kernel(*key)
+
+        monkeypatch.setattr(altsum, "deletion_kernel_check", counted)
+        for n1 in (1, 3, 2, 3):
+            assert main(["verify", "deletion", "--m", "1,2,1,2", "--n", f"{n1},1", "--a", "1", "--b", "2"]) == 0
+        assert capsys.readouterr().out.count("PASS deletion") == 4
+        assert decided == Counter({(1, 2, 1, 2, k): 1 for k in range(-3, 4)})
+
     def test_scan_never_takes_the_summed_route(self, monkeypatch, tmp_path):
         for cache in _altsum_caches():
             cache.cache_clear()
@@ -485,10 +501,10 @@ class TestDeletion:
         )
         # only verdicts are kept for the sub-instances, never their values:
         # one set of (a, b - 1) per ((ell, m3), n) with ell <= 2, and one
-        # kernel verdict per (m1, m2, m3, n1)
+        # kernel verdict per (m1, m2, m3, k) with |k| <= n1 <= 2
         assert altsum._polynomial_points.cache_info().currsize == 3 * 2 * 2**2
         assert altsum._polynomial_points((0, 2), (2, 1)) == {(a, b) for a in range(3) for b in (1, 2)}
-        assert altsum._kernels_hold.cache_info().currsize == 2**3 * 2
+        assert altsum._kernels_hold.cache_info().currsize == 2**3 * 5
 
 
 class TestRecombine:

@@ -20,7 +20,7 @@ from qpositivity.cli import main
 from qpositivity.qcombinat import InvalidRange
 from qpositivity.qpoly import IntPoly, NotDivisible
 
-from oracles import scan_report_json
+from oracles import f_scan_rows, scan_report_json
 
 
 class TestCompute:
@@ -251,21 +251,24 @@ class TestScan:
         assert main(["scan", "C", "--max-sum", "1", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
 
-    # Bad grids are rejected before the first row, so F is made to reject
-    # the third instance; the two rows already streamed stay written.
+    # Bad grids are rejected before the first row, so the third evaluation is
+    # made to fail; the two rows already streamed stay written.  A scan
+    # evaluates a whole (m, n) block before its rows, so each block here
+    # holds one (a, b).
     def test_rows_before_a_rejected_instance_are_kept(self, monkeypatch, capsys):
-        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--checks", "positivity"]
+        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2", "--a", "1", "--b", "2",
+                "--checks", "positivity"]
         assert main(argv) == 0
         expected = capsys.readouterr().out.splitlines()[:2]
-        evaluate, seen = altsum.F, []
+        evaluate, seen = altsum._TermTable.evaluate, []
 
-        def f_rejecting_the_third(params):
-            seen.append(params)
+        def evaluation_rejecting_the_third(table, a, b):
+            seen.append((a, b))
             if len(seen) == 3:
                 raise InvalidRange("negative q-exponent")
-            return evaluate(params)
+            return evaluate(table, a, b)
 
-        monkeypatch.setattr(altsum, "F", f_rejecting_the_third)
+        monkeypatch.setattr(altsum._TermTable, "evaluate", evaluation_rejecting_the_third)
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -273,22 +276,30 @@ class TestScan:
         assert "negative q-exponent" in captured.err
 
     # No F instance is known to be non-polynomial, so F is made to fail at one
-    # instance; the second case also gives it a q = 1 value that is not an integer.
+    # instance.  The second case also gives it a q = 1 value that is not an
+    # integer; that value belongs to (m, n), and only an (m, n) with no
+    # polynomial value can have it, so that case scans the one (a, b).
     @pytest.mark.parametrize("reference", [None, Fraction(7, 2)])
     def test_non_polynomial_row(self, reference, monkeypatch, capsys):
         bad = CyclicParams((1, 1), (1, 1), 1, 2)
-        evaluate, value_at_one = altsum.F, altsum.value_at_one_reference
+        term_table, value_at_one = altsum._term_table, altsum._value_at_one
 
-        def f_with_one_failure(params):
-            if params == bad:
-                raise NotDivisible(IntPoly((1,)))
-            return evaluate(params)
+        class FailingAtBad:
+            def __init__(self, m, n):
+                self.table, self.bad = term_table(m, n), (m, n) == bad[:2]
 
-        monkeypatch.setattr(altsum, "F", f_with_one_failure)
+            def evaluate(self, a, b):
+                if self.bad and (a, b) == bad[2:4]:
+                    raise NotDivisible(IntPoly((1,)))
+                return self.table.evaluate(a, b)
+
+        monkeypatch.setattr(altsum, "_term_table", FailingAtBad)
+        grid = ["--param-max", "1"]
         if reference is not None:
-            monkeypatch.setattr(altsum, "value_at_one_reference",
-                                lambda params: reference if params == bad else value_at_one(params))
-        code = main(["scan", "F", "--r", "2", "--s", "2", "--param-max", "1",
+            grid = ["--param-max", "2", "--a", "1", "--b", "2"]
+            monkeypatch.setattr(altsum, "_value_at_one",
+                                lambda m, n: reference if (m, n) == bad[:2] else value_at_one(m, n))
+        code = main(["scan", "F", "--r", "2", "--s", "2", *grid,
                      "--checks", "positivity,q1-specialization,degree-bound"])
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert code == 1
@@ -298,6 +309,7 @@ class TestScan:
         assert row["value_at_one"] == str(altsum.value_at_one_reference(bad))
         assert row["checks_failed"] == ["positivity", "q1-specialization", "degree-bound"]
         assert all(not r["checks_failed"] for r in rows if r is not row)
+        assert len(rows) == (6 if reference is None else 16)
 
 
 @st.composite
@@ -343,6 +355,52 @@ def test_json_writer_against_dumps_oracle(drawn):
         stream = io.StringIO()
         assert cli._write(family, records, fmt, stream) == (len(records), sum(bool(r.failed) for r in records))
         assert stream.getvalue() == scan_report_json(family, tuples, fmt)
+
+
+F_CHECKS = ["positivity", "reciprocity", "degree-bound", "deletion", "q1-specialization"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_block_scan_against_one_instance_oracle(data):
+    # the block scan's jsonl bytes and exit code against rows decided one
+    # instance at a time; unsafe draws reach past the window and may give an
+    # (a, b) with a negative exponent, which rejects the grid; a failing
+    # kernel sends every deletion check to the summed route
+    r, s = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 3))
+    param_max, m_min = data.draw(st.integers(1, 2)), data.draw(st.sampled_from([0, 1]))
+    unsafe = data.draw(st.booleans())
+    a_values = data.draw(st.none() | st.lists(st.integers(0, s + 2 if unsafe else s), min_size=1, max_size=3))
+    b_values = data.draw(st.none() | st.lists(st.integers(0, r + 2) if unsafe else st.integers(1, r), min_size=1,
+                                              max_size=3))
+    checks = data.draw(st.lists(st.sampled_from(F_CHECKS), min_size=1, max_size=5, unique=True))
+    argv = ["scan", "F", "--r", str(r), "--s", str(s), "--param-max", str(param_max), "--m-min", str(m_min),
+            "--checks", ",".join(checks)]
+    for flag, values in (("--a", a_values), ("--b", b_values)):
+        if values is not None:
+            argv += [flag, ",".join(map(str, values))]
+    argv += ["--unsafe-params"] if unsafe else []
+    kernels_fail = data.draw(st.booleans())
+    summed = []
+    with pytest.MonkeyPatch.context() as patch:
+        if kernels_fail:
+            patch.setattr(altsum, "_kernels_hold", lambda *key: False)
+        try:
+            rows = f_scan_rows(r, s, param_max, m_min, a_values, b_values, unsafe, checks)
+        except InvalidRange:
+            rows = None
+        deletion_check = altsum._deletion_check
+        patch.setattr(altsum, "_deletion_check", lambda params: summed.append(params) or deletion_check(params))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    if rows is None:
+        assert (code, out.getvalue()) == (2, "")
+    else:
+        assert out.getvalue() == scan_report_json("F", rows, "jsonl")
+        assert code == int(any(failed for *_, failed, _ in rows))
+        decided = [row for row in rows if "deletion" in row[3] + row[4]]
+        assert len(summed) == (len(decided) if kernels_fail else 0)
 
 
 ROOT = Path(__file__).resolve().parent.parent
