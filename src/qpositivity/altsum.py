@@ -382,20 +382,25 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     if not _every_kernel_holds(m, n[0]):
         return _deletion_check(params)
     F(params)
-    _check_sub_instances(m, n, a, b)
+    _check_sub_instances(_sub_tables(m, n), n, a, b)
     return IdentityCheckResult("deletion", {"m": m, "n": n, "a": a, "b": b}, True, ZERO)
 
 
-def _check_sub_instances(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> None:
-    """Raise NotDivisible unless F is a polynomial at every deletion
-    sub-instance ((ell, m3, ..., m_r), n, a, b - 1) with ell <= min(m1, m2):
-    the verdict of a deletion check at a polynomial instance whose kernels
-    hold.  Each sub-instance is evaluated once, and only the verdict is
-    kept."""
+def _sub_tables(m: tuple[int, ...], n: tuple[int, ...]) -> list[tuple[tuple[int, ...], set[tuple[int, int]]]]:
+    """For each deletion sub-instance table ((ell, m3, ..., m_r), n) with
+    ell <= min(m1, m2), its m-vector and its set of polynomial points."""
+    subs = [(ell,) + m[2:] for ell in range(min(m[0], m[1]) + 1)]
+    return [(sub, _polynomial_points(sub, n)) for sub in subs]
+
+
+def _check_sub_instances(subs: list[tuple[tuple[int, ...], set[tuple[int, int]]]], n: tuple[int, ...],
+                         a: int, b: int) -> None:
+    """Raise NotDivisible unless F is a polynomial at (sub, n, a, b - 1) for
+    every sub of subs, _sub_tables(m, n): the verdict of a deletion check at
+    a polynomial instance whose kernels hold.  Each sub-instance is
+    evaluated once, and only the verdict is kept."""
     point = (a, b - 1)
-    for ell in range(min(m[0], m[1]) + 1):
-        sub = (ell,) + m[2:]
-        passed = _polynomial_points(sub, n)
+    for sub, passed in subs:
         if point not in passed:
             _sub_instance(sub, n, a, b - 1)
             passed.add(point)
@@ -435,8 +440,9 @@ class Block:
     the verdicts of F's checks at them.  values maps each (a, b) to F there,
     evaluated once from the term table, or to None where F is not a
     polynomial; so a block holds at most len(points) polynomials.  The
-    q = 1 value, delta and the deletion kernels' verdict do not depend on
-    (a, b), and each is looked up once, when first asked for."""
+    q = 1 value, delta, the deletion kernels' verdict and the deletion
+    sub-instance tables do not depend on (a, b), and each is looked up
+    once, when first asked for."""
 
     def __init__(self, m: tuple[int, ...], n: tuple[int, ...], points: Iterable[tuple[int, int]]) -> None:
         self.m, self.n = m, n
@@ -459,6 +465,10 @@ class Block:
     @cached_property
     def kernels(self) -> bool:
         return _every_kernel_holds(self.m, self.n[0])
+
+    @cached_property
+    def subs(self) -> list[tuple[tuple[int, ...], set[tuple[int, int]]]]:
+        return _sub_tables(self.m, self.n)
 
     def reciprocal(self, params: CyclicParams, p: IntPoly | None) -> bool:
         """reciprocity_check's verdict at params, where F is p.  The dual's
@@ -484,7 +494,7 @@ class Block:
                 return _deletion_check(params).passed
             if p is None:
                 return False
-            _check_sub_instances(self.m, self.n, params.a, params.b)
+            _check_sub_instances(self.subs, self.n, params.a, params.b)
         except NotDivisible:
             return False
         return True
