@@ -57,7 +57,7 @@ class _Row:
     __slots__ = ("params", "poly", "nonneg", "value", "out_of_theorem", "block", "passed", "failed")
 
     def __init__(self, params: Any, poly: IntPoly | None, value: int | Fraction, out_of_theorem: bool | None,
-                 block: altsum.Block | None = None) -> None:
+                 block: altsum.Block | None) -> None:
         self.params, self.poly, self.value, self.out_of_theorem = params, poly, value, out_of_theorem
         self.block = block
         self.nonneg = poly is not None and poly.is_nonneg()

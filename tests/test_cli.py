@@ -339,7 +339,7 @@ def _report_rows(draw):
                                   st.lists(st.sampled_from([True, False, None]), min_size=len(names),
                                            max_size=len(names))))
         out = draw(st.booleans()) if family == "F" else None
-        record = cli._Row(params, poly, value, out)
+        record = cli._Row(params, poly, value, out, None)
         record.passed.extend(name for name, ok in zip(names, verdicts) if ok)
         record.failed.extend(name for name, ok in zip(names, verdicts) if ok is False)
         records.append(record)
