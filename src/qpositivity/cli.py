@@ -237,10 +237,17 @@ def _rows(family: str, instances: Iterable[tuple[Any, bool | None, altsum.Block 
         yield row
 
 
+@functools.lru_cache(maxsize=2)
+def _commas(vector: tuple[int, ...]) -> str:
+    """The entries comma-joined: an F row's m and n, the same for every row of
+    a block, are joined once per block."""
+    return ",".join(map(str, vector))
+
+
 def _params_text(family: str, params: Any) -> str:
     """The row's params as `key=value` pairs in report order, vectors comma-joined."""
     if family == "F":
-        return f"m={','.join(map(str, params.m))};n={','.join(map(str, params.n))};a={params.a};b={params.b}"
+        return f"m={_commas(params.m)};n={_commas(params.n)};a={params.a};b={params.b}"
     return ";".join(f"{name}={value}" for name, value in zip(_PAIRS[family][2], params))
 
 
@@ -254,7 +261,7 @@ def _json_object(family: str, row: _Row) -> str:
     p, poly = row.params, row.poly
     if family == "F":
         params = (f'"out_of_theorem":{"true" if row.out_of_theorem else "false"},"params":{{"a":{p.a},"b":{p.b},'
-                  f'"m":[{",".join(map(str, p.m))}],"n":[{",".join(map(str, p.n))}]}}')
+                  f'"m":[{_commas(p.m)}],"n":[{_commas(p.n)}]}}')
     else:
         params = '"params":{' + ",".join(f'"{k}":{v}' for k, v in sorted(zip(_PAIRS[family][2], p))) + "}"
     return (f'{{"checks_failed":{_json_list(row.failed)},"checks_passed":{_json_list(row.passed)},"coeffs":'

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import pickle
 import random
 from collections import Counter
@@ -339,6 +340,25 @@ class TestReciprocity:
                 expected = (F(dual) + extra).reverse_to_degree(bound) - F(params)
                 assert not result.passed
                 assert result.difference == expected != ZERO
+
+
+    def test_degree_past_the_bound_fails(self, monkeypatch, tmp_path):
+        # F at (1, 2) is F at its dual (1, 1) reversed at delta = 5, with both
+        # of degree 5; at a bound one lower the reversal would lose q^5, so
+        # the check fails with the dual's value as the difference, in verify
+        # and in a scan
+        params = CyclicParams((1, 1), (1, 1), 1, 2)
+        dual = F(CyclicParams((1, 1), (1, 1), 1, 1))
+        assert F(params).degree == dual.degree == delta(params.m, params.n) == 5
+        assert reciprocity_check(params).passed
+        monkeypatch.setattr(altsum, "delta", lambda m, n: 4)
+        assert reciprocity_check(params) == qcombinat.IdentityCheckResult(
+            "reciprocity", {"m": (1, 1), "n": (1, 1), "a": 1, "b": 2}, False, dual)
+        out = tmp_path / "report.jsonl"
+        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--a", "1", "--b", "1,2",
+                "--checks", "reciprocity", "--out", str(out)]
+        assert main(argv) == 1
+        assert [row["checks_failed"] for row in map(json.loads, out.read_text().splitlines())] == [["reciprocity"]] * 2
 
 
 class TestProductIdentity:

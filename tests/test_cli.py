@@ -282,18 +282,8 @@ class TestScan:
     @pytest.mark.parametrize("reference", [None, Fraction(7, 2)])
     def test_non_polynomial_row(self, reference, monkeypatch, capsys):
         bad = CyclicParams((1, 1), (1, 1), 1, 2)
-        term_table, value_at_one = altsum._term_table, altsum._value_at_one
-
-        class FailingAtBad:
-            def __init__(self, m, n):
-                self.table, self.bad = term_table(m, n), (m, n) == bad[:2]
-
-            def evaluate(self, a, b):
-                if self.bad and (a, b) == bad[2:4]:
-                    raise NotDivisible(IntPoly((1,)))
-                return self.table.evaluate(a, b)
-
-        monkeypatch.setattr(altsum, "_term_table", FailingAtBad)
+        value_at_one = altsum._value_at_one
+        _fail_evaluation_at(monkeypatch, bad)
         grid = ["--param-max", "1"]
         if reference is not None:
             grid = ["--param-max", "2", "--a", "1", "--b", "2"]
@@ -310,6 +300,32 @@ class TestScan:
         assert row["checks_failed"] == ["positivity", "q1-specialization", "degree-bound"]
         assert all(not r["checks_failed"] for r in rows if r is not row)
         assert len(rows) == (6 if reference is None else 16)
+
+
+    def test_non_polynomial_instance_fails_its_reciprocity_and_deletion(self, monkeypatch, capsys):
+        # F is made to fail at (a, b) = (0, 2) of one block; that row fails
+        # both checks, the row of its dual (2, 2) fails reciprocity only
+        _fail_evaluation_at(monkeypatch, CyclicParams((1, 1, 1), (1, 1), 0, 2))
+        assert main(["scan", "F", "--r", "3", "--s", "2", "--param-max", "1", "--checks", "reciprocity,deletion"]) == 1
+        failed = {(row["params"]["a"], row["params"]["b"]): row["checks_failed"]
+                  for row in map(json.loads, capsys.readouterr().out.splitlines()) if row["checks_failed"]}
+        assert failed == {(0, 2): ["reciprocity", "deletion"], (2, 2): ["reciprocity"]}
+
+
+def _fail_evaluation_at(monkeypatch, bad):
+    """Make the term table of bad's (m, n) raise NotDivisible at bad's (a, b)."""
+    term_table = altsum._term_table
+
+    class FailingAtBad:
+        def __init__(self, m, n):
+            self.table, self.bad = term_table(m, n), (m, n) == bad[:2]
+
+        def evaluate(self, a, b):
+            if self.bad and (a, b) == bad[2:4]:
+                raise NotDivisible(IntPoly((1,)))
+            return self.table.evaluate(a, b)
+
+    monkeypatch.setattr(altsum, "_term_table", FailingAtBad)
 
 
 @st.composite
