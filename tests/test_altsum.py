@@ -341,7 +341,6 @@ class TestReciprocity:
                 assert not result.passed
                 assert result.difference == expected != ZERO
 
-
     def test_degree_past_the_bound_fails(self, monkeypatch, tmp_path):
         # F at (1, 2) is F at its dual (1, 1) reversed at delta = 5, with both
         # of degree 5; at a bound one lower the reversal would lose q^5, so

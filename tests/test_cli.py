@@ -301,7 +301,6 @@ class TestScan:
         assert all(not r["checks_failed"] for r in rows if r is not row)
         assert len(rows) == (6 if reference is None else 16)
 
-
     def test_non_polynomial_instance_fails_its_reciprocity_and_deletion(self, monkeypatch, capsys):
         # F is made to fail at (a, b) = (0, 2) of one block; that row fails
         # both checks, the row of its dual (2, 2) fails reciprocity only
