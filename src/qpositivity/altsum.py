@@ -32,9 +32,10 @@ to a kernel identity in (m1, m2, m3, m_r, k) alone (deletion_kernel_check).
 So the deletion check is decided by three cached verdicts: the kernel holds
 at every k in [-n1, n1], one verdict per k, F is a polynomial at the
 instance, and F is a polynomial at every sub-instance.  Only when a kernel
-fails does it take the summed route: F at each sub-instance from a table of
-its own, and the whole difference lhs - rhs packed at one width, each
-deletion coefficient the product of two packed Gaussian coefficients.
+fails does it take the summed route, with F at each sub-instance from a
+table of its own.  The kernel and the summed route build both sides with
+qpoly.product_sum, as the product and recombination checks do, so the term
+table is the only packed code here.
 
 F is the entry for one instance.  A scan walks its grid one (m, n) at a
 time, through a Block: the term table evaluates each requested (a, b) once,
@@ -59,7 +60,7 @@ from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
 from .qcombinat import q_poch, q_ratio, ratio_at_one
-from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, shifted_sum, slot_bytes, unpack
+from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, product_sum, shifted_sum, slot_bytes
 
 
 class CyclicParams(namedtuple("CyclicParams", "m n a b unsafe")):
@@ -161,16 +162,15 @@ class _TermTable:
         return packed_quotient(dividend, count, self.width, self.divide, self.divisor, self.divisor_l1)
 
 
-# Six bounded caches.  A scan evaluates each block's points from one term
-# table, and 16 tables hold it and the few deletion sub-instance tables its
-# rows meet.  The r = s = 4, param-max 3 grid packs 56 of the 256 factors,
-# the deletion kernels' Gaussian coefficients among them, and splits 108 of
-# the 256 prefactors.  F's 64 values serve single instances: verify, the
-# summed deletion route and a scan's reciprocity duals outside its points.
-# The deletion sub-instances recur only after a sweep over every m2, so only
-# their verdicts are kept: 4096 sets of polynomial (a, b), one per
-# sub-instance (m, n), hold all 324 at r = s = 3 and all 2916 at r = s = 4,
-# and 1024 kernel verdicts, one per (m1, m2, m3, m_r, k), all 189 and 567.
+# Five bounded caches, none of them of F's values.  A scan evaluates each
+# block's points from one term table, and 16 tables hold it and the few
+# deletion sub-instance tables its rows meet.  Only term tables pack
+# factors: 37 of the 256 at r = s = 3, param-max 3, and 50 at r = s = 4; both
+# grids split 108 of the 256 prefactors.  The deletion sub-instances recur
+# only after a sweep over every m2, so only their verdicts are kept: 4096
+# sets of polynomial (a, b), one per sub-instance (m, n), hold all 324 at
+# r = s = 3 and all 2916 at r = s = 4, and 1024 kernel verdicts, one per
+# (m1, m2, m3, m_r, k), all 189 and 567.
 _split_prefactor = lru_cache(maxsize=256)(cyclotomic_split)
 
 
@@ -191,18 +191,10 @@ def _term_table(m: tuple[int, ...], n: tuple[int, ...]) -> _TermTable:
     return _TermTable(tuple(terms), divide)
 
 
-@lru_cache(maxsize=64)
 def F(params: CyclicParams) -> IntPoly:
     """Evaluate the alternating sum; raises NotDivisible when the prefactored
     sum is not a polynomial at these parameters."""
     return _term_table(params.m, params.n).evaluate(params.a, params.b)
-
-
-def _sub_instance(m: tuple[int, ...], n: tuple[int, ...], a: int, b: int) -> IntPoly:
-    """F at a deletion sub-instance, valid when derived from a valid instance
-    with b >= 2 (r - 1 >= 2 and a + 2(b - 1) >= 1), whether or not that one
-    waives the (a, b) window."""
-    return _term_table(m, n).evaluate(a, b)
 
 
 @lru_cache(maxsize=4096)
@@ -324,33 +316,19 @@ def deletion_kernel_check(m1: int, m2: int, m3: int, mr: int, k: int) -> Identit
           = sum_{0 <= ell <= min(m1, m2)} q^{ell^2+ell} [m2+m3+1, m2-ell] [m1+mr+1, m1-ell]
                                           * [ell+m3+1, ell+k] [mr+ell+1, mr+k].
 
-    It involves neither n, a, b nor m_4, ..., m_{r-1}; see deletion_check.
-    Both sides are packed at one width, from the packed Gaussian
-    coefficients, and their difference is unpacked only when it is nonzero."""
+    It involves neither n, a, b nor m_4, ..., m_{r-1}; see deletion_check."""
     if min(m1, m2, m3, mr) < 0:
         raise InvalidRange(f"deletion_kernel_check needs m1, m2, m3, mr >= 0, got {m1}, {m2}, {m3}, {mr}")
-    lhs = [(k * (k - 1), [(m1 + m2 + 1, m1 + k), (m2 + m3 + 1, m2 + k), (mr + m1 + 1, mr + k)])]
-    rhs = [
-        (ell * ell + ell, [(m2 + m3 + 1, m2 - ell), (m1 + mr + 1, m1 - ell),
-                           (ell + m3 + 1, ell + k), (mr + ell + 1, mr + k)])
+    lhs = product_sum([(k * (k - 1), [gauss_binom(m1 + m2 + 1, m1 + k), gauss_binom(m2 + m3 + 1, m2 + k),
+                                      gauss_binom(mr + m1 + 1, mr + k)])])
+    rhs = product_sum(
+        (ell * ell + ell, [gauss_binom(m2 + m3 + 1, m2 - ell), gauss_binom(m1 + mr + 1, m1 - ell),
+                           gauss_binom(ell + m3 + 1, ell + k), gauss_binom(mr + ell + 1, mr + k)])
         for ell in range(min(m1, m2) + 1)
-    ]
-    # Gaussian coefficients are nonnegative, so each side's coefficients are
-    # at most its value at 1, and the difference is packed at a width whose
-    # half slot holds both values.  Only a term with no zero factor is
-    # packed, so that each factor's coefficients are at most its value at 1.
-    ones = [[prod([_int_binom(N, K) for N, K in binoms]) for _, binoms in side] for side in (lhs, rhs)]
-    width = slot_bytes(max(map(sum, ones)), True)
-    diff = sum(
-        sign * prod([_packed_factor(gauss_binom(N, K).coeffs, width) for N, K in binoms]) << 8 * width * e
-        for sign, side, values in ((1, lhs, ones[0]), (-1, rhs, ones[1]))
-        for (e, binoms), one in zip(side, values)
-        if one
     )
-    # a top coefficient d_n != 0 makes |diff| > 256**(width n) / 2, so n < count
-    difference = IntPoly(unpack(diff, width, diff.bit_length() // (8 * width) + 1, True)) if diff else ZERO
+    diff = lhs - rhs
     info = {"m1": m1, "m2": m2, "m3": m3, "mr": mr, "k": k}
-    return IdentityCheckResult("deletion-kernel", info, not diff, difference)
+    return IdentityCheckResult("deletion-kernel", info, diff.is_zero(), diff)
 
 
 def deletion_check(params: CyclicParams) -> IdentityCheckResult:
@@ -388,7 +366,9 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
 
 def _sub_tables(m: tuple[int, ...], n: tuple[int, ...]) -> list[tuple[tuple[int, ...], set[tuple[int, int]]]]:
     """For each deletion sub-instance table ((ell, m3, ..., m_r), n) with
-    ell <= min(m1, m2), its m-vector and its set of polynomial points."""
+    ell <= min(m1, m2), its m-vector and its set of polynomial points.  At
+    (a, b - 1) it gives F at a valid instance (r - 1 >= 2, a + 2(b - 1) >= 1)
+    when (m, n, a, b) is one with b >= 2, whether or not it is in the window."""
     subs = [(ell,) + m[2:] for ell in range(min(m[0], m[1]) + 1)]
     return [(sub, _polynomial_points(sub, n)) for sub in subs]
 
@@ -402,37 +382,23 @@ def _check_sub_instances(subs: list[tuple[tuple[int, ...], set[tuple[int, int]]]
     point = (a, b - 1)
     for sub, passed in subs:
         if point not in passed:
-            _sub_instance(sub, n, a, b - 1)
+            _term_table(sub, n).evaluate(a, b - 1)
             passed.add(point)
 
 
 def _deletion_check(params: CyclicParams) -> IdentityCheckResult:
-    """The deletion check the summed way: lhs - rhs packed at one width."""
+    """The deletion check the summed way: lhs - rhs, the sum built by product_sum."""
     m, n, a, b = params.m, params.n, params.a, params.b
     m1, m2, m3 = m[:3]
-    lhs = F(params).coeffs
-    subs = []
-    for ell in range(min(m1, m2) + 1):  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
-        sub = _sub_instance((ell,) + m[2:], n, a, b - 1).coeffs
-        if sub:
-            subs.append((ell, sub))
-    # lhs - rhs is packed at one width that bounds each of its coefficients;
-    # a Gaussian coefficient is nonnegative, so its L1 norm is its value at 1
-    bound = max(map(abs, lhs), default=0) + sum(
-        comb(m1, ell) * comb(m2 + m3 + 1, m2 - ell) * max(map(abs, sub)) for ell, sub in subs
+    lhs = F(params)
+    rhs = product_sum(  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
+        (ell * ell + ell, [gauss_binom(m1, ell), gauss_binom(m2 + m3 + 1, m2 - ell),
+                           _term_table((ell,) + m[2:], n).evaluate(a, b - 1)])
+        for ell in range(min(m1, m2) + 1)
     )
-    width = slot_bytes(bound, True)
-    diff = pack(lhs, width, True)
-    count = len(lhs)
-    for ell, sub in subs:
-        left, right = gauss_binom(m1, ell).coeffs, gauss_binom(m2 + m3 + 1, m2 - ell).coeffs
-        e = ell * ell + ell
-        coef = _packed_factor(left, width) * _packed_factor(right, width)
-        diff -= coef * pack(sub, width, True) << 8 * width * e
-        count = max(count, e + len(left) + len(right) + len(sub) - 2)
-    difference = IntPoly(unpack(diff, width, count, True)) if diff else ZERO
-    info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
-    return IdentityCheckResult("deletion", info, not diff, difference)
+    diff = lhs - rhs
+    info = {"m": m, "n": n, "a": a, "b": b}
+    return IdentityCheckResult("deletion", info, diff.is_zero(), diff)
 
 
 class Block:

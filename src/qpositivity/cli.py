@@ -22,6 +22,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import product
@@ -315,11 +316,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise InvalidRange(f"checks not applicable to family {args.family}: {', '.join(unknown)}")
     instances = _f_grid(args) if args.family == "F" else _pair_grid(args.family, args)
     try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as stream:
+            count, failures = _write(args.family, _rows(args.family, instances, checks), args.format, stream)
+            stream.flush()  # so that a closed pipe fails here, not when stdout is flushed at exit
     except OSError as exc:
-        raise InvalidRange(f"cannot write {args.out}: {exc.strerror}") from exc
-    with out as stream:
-        count, failures = _write(args.family, _rows(args.family, instances, checks), args.format, stream)
+        if not args.out:  # what is left in stdout's buffer goes to devnull, not to the exit's flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InvalidRange(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from exc
     print(f"scanned {count} instances, {failures} failures", file=sys.stderr)
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 

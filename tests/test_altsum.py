@@ -426,8 +426,8 @@ class TestDeletion:
         assert result.params == {"m1": m1, "m2": m2, "m3": m3, "mr": mr, "k": k}
 
     def test_kernel_failure_carries_the_difference(self, monkeypatch):
-        # [4, 1] or [5, 2] times q keeps its value at 1, so the slot width,
-        # and breaks the identity wherever it is a factor
+        # [4, 1] or [5, 2] times q breaks the identity wherever it is a
+        # factor; its L1 norm, and so product_sum's slot width, is unchanged
         for target, failures in [((4, 1), 67), ((5, 2), 32)]:
             def g(N, K, body, target=target):
                 return body(N, K).shift(1) if (N, K) == target else body(N, K)
@@ -449,7 +449,7 @@ class TestDeletion:
         assert deletion_kernel_check(1, 2, 1, 2, -100_000_000).passed
         assert deletion_kernel_check(1, 2, 1, 2, 100_000_000).passed
         # both sides vanish at k = 2 through [1, 2], although [21, 12] has
-        # coefficients far above the one-byte slot that 0 needs
+        # coefficients far above one byte: a term with a zero factor is skipped
         assert deletion_kernel_check(10, 10, 0, 0, 2).passed
 
     @settings(max_examples=150, deadline=None)
@@ -463,9 +463,16 @@ class TestDeletion:
         a = data.draw(st.integers(0, s + 2 if unsafe else s))
         b = data.draw(st.integers(2, r + 2 if unsafe else r))
         expected = deletion_difference(m, n, a, b)
-        result = deletion_check(CyclicParams(m, n, a, b, unsafe))
+        params = CyclicParams(m, n, a, b, unsafe)
+        result = deletion_check(params)
         assert result.difference == expected
         assert result.passed == expected.is_zero()
+        # a failed kernel verdict sends the same draw to the summed route
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(altsum, "_kernels_hold", lambda *key: False)
+            summed = deletion_check(params)
+        assert summed.difference == expected
+        assert summed.passed == expected.is_zero()
 
     def test_every_k_is_decided(self, monkeypatch):
         # n1 = 3, but the kernel's left side vanishes for k < -1 and k > 2;
@@ -687,7 +694,6 @@ class TestTermTable:
         # past a machine word, zero, negated, and changed only at ell = 0;
         # a failed kernel verdict sends the check to the summed route
         monkeypatch.setattr(altsum, "_kernels_hold", lambda *key: False)
-        body = altsum._sub_instance
         perturbations = [
             lambda sub, ell: sub + IntPoly([0] * ell + [1]),
             lambda sub, ell: sub - IntPoly([3, -(2**70), 5]),
@@ -701,22 +707,23 @@ class TestTermTable:
             ((3, 2, 2), (2, 3, 1), 2, 2),
         ]] + [CyclicParams((0, 1, 2), (2, 1), 1, 3, unsafe=True)]
         for perturb in perturbations:
-            def perturbed(m, n, a, b, perturb=perturb):
-                return perturb(body(m, n, a, b), m[0])
+            def perturbed(evaluate, m, n, a, b, perturb=perturb):
+                # the instances have r = 3 and their sub-instances r = 2
+                return perturb(evaluate(), m[0]) if len(m) == 2 else evaluate()
 
-            monkeypatch.setattr(altsum, "_sub_instance", perturbed)
-            for params in grid:
-                m = params.m
-                rhs = ZERO
-                for ell in range(m[0] + 1):
-                    coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
-                    if not coef.is_zero():
-                        sub = perturbed((ell,) + m[2:], params.n, params.a, params.b - 1)
-                        rhs = rhs + (coef * sub).shift(ell * ell + ell)
-                result = deletion_check(params)
-                assert result.difference == F(params) - rhs
-                assert result.passed == (F(params) == rhs)
-        monkeypatch.setattr(altsum, "_sub_instance", body)
+            with pytest.MonkeyPatch.context() as patch:
+                _around_each_evaluation(patch, perturbed)
+                for params in grid:
+                    m = params.m
+                    rhs = ZERO
+                    for ell in range(m[0] + 1):
+                        coef = gauss_binom(m[0], ell) * gauss_binom(m[1] + m[2] + 1, m[1] - ell)
+                        if not coef.is_zero():
+                            sub = altsum._term_table((ell,) + m[2:], params.n).evaluate(params.a, params.b - 1)
+                            rhs = rhs + (coef * sub).shift(ell * ell + ell)
+                    result = deletion_check(params)
+                    assert result.difference == F(params) - rhs
+                    assert result.passed == (F(params) == rhs)
         assert all(deletion_check(params).passed for params in grid)
 
     def test_sub_instance_failure_is_not_cached(self, monkeypatch):
@@ -790,6 +797,16 @@ def _altsum_caches():
 def _before_each_evaluation(monkeypatch, before):
     """Call before(m, n, a, b) ahead of every term-table evaluation, the one
     entry through which F and the deletion sub-instances are evaluated."""
+    def around(evaluate, m, n, a, b):
+        before(m, n, a, b)
+        return evaluate()
+
+    _around_each_evaluation(monkeypatch, around)
+
+
+def _around_each_evaluation(monkeypatch, around):
+    """Make every term-table evaluation at (m, n, a, b) return
+    around(evaluate, m, n, a, b), where evaluate() returns its value."""
     owners = {}
     term_table, evaluate = altsum._term_table, altsum._TermTable.evaluate
 
@@ -799,8 +816,7 @@ def _before_each_evaluation(monkeypatch, before):
         return table
 
     def observed(table, a, b):
-        before(*owners[table], a, b)
-        return evaluate(table, a, b)
+        return around(lambda: evaluate(table, a, b), *owners[table], a, b)
 
     monkeypatch.setattr(altsum, "_term_table", located)
     monkeypatch.setattr(altsum._TermTable, "evaluate", observed)

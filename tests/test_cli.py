@@ -250,6 +250,26 @@ class TestScan:
         out = tmp_path / "missing-dir" / "report.jsonl"
         assert main(["scan", "C", "--max-sum", "1", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
+        # a report that opens but cannot be written: the full device fails
+        # when the file is closed, and a pipe with no reader on every write,
+        # the small report's at exit unless it is flushed first; stdout is
+        # left buffered, as it is for users
+        if os.path.exists("/dev/full"):
+            assert main(["scan", "C", "--max-sum", "3", "--out", "/dev/full"]) == 2
+            assert "cannot write /dev/full" in capsys.readouterr().err
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        for max_sum in ("3", "25"):
+            reader, writer = os.pipe()
+            os.close(reader)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "qpositivity", "scan", "C", "--max-sum", max_sum,
+                                       "--format", "text"], stdout=writer, stderr=subprocess.PIPE, text=True,
+                                      env=env, timeout=60)
+            finally:
+                os.close(writer)
+            assert (proc.returncode, "Traceback" in proc.stderr) == (2, False), proc.stderr
+            assert "cannot write stdout" in proc.stderr
 
     # Bad grids are rejected before the first row, so the third evaluation is
     # made to fail; the two rows already streamed stay written.  A scan
