@@ -16,9 +16,10 @@ Gaussian coefficients and the prefactor's Phi_d with positive cyclotomic
 exponent.  It keeps the division by the product D of the Phi_d with negative
 exponent, both from qcombinat.cyclotomic_split.  Every factor and D are
 packed as integers (Kronecker substitution, see qpoly) at one slot width,
-fixed before any product from the factors' norms by Young's inequality, so
-that it holds every coefficient of a sum of shifted terms; a term is the
-signed product of its packed factors, and no polynomial product is formed.
+fixed before any product by qpoly.slot_width, the Young bound that
+product_sum uses too, so that it holds every coefficient of a sum of
+shifted terms; a term is the signed product of its packed factors, and no
+polynomial product is formed.
 F adds the packed terms, each shifted by its exponent in whole slots, and
 makes one divmod by the packed D with qpoly.packed_quotient, which
 certifies the unpacked quotient exactly, and otherwise divides the unpacked
@@ -60,7 +61,7 @@ from typing import Iterable
 
 from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
 from .qcombinat import q_poch, q_ratio, ratio_at_one
-from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, product_sum, shifted_sum, slot_bytes
+from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, product_sum, shifted_sum, slot_width
 
 
 class CyclicParams(namedtuple("CyclicParams", "m n a b unsafe")):
@@ -83,13 +84,8 @@ class CyclicParams(namedtuple("CyclicParams", "m n a b unsafe")):
 
     def __new__(cls, m: Iterable[int], n: Iterable[int], a: int, b: int, unsafe: bool = False) -> "CyclicParams":
         m, n = tuple(m), tuple(n)
+        _check_shape(m, n)
         r, s = len(m), len(n)
-        if r < 2 or s < 2:
-            raise InvalidRange(f"need r >= 2 and s >= 2, got r={r}, s={s}")
-        if any(mi < 0 for mi in m):
-            raise InvalidRange(f"m entries must be >= 0, got {m}")
-        if any(nj < 1 for nj in n):
-            raise InvalidRange(f"n entries must be >= 1, got {n}")
         if not unsafe:
             if not 0 <= a <= s:
                 raise InvalidRange(f"need 0 <= a <= s={s}, got a={a}")
@@ -110,6 +106,16 @@ class CyclicParams(namedtuple("CyclicParams", "m n a b unsafe")):
         return len(self.n)
 
 
+def _check_shape(m: tuple[int, ...], n: tuple[int, ...]) -> None:
+    """Raise InvalidRange unless r, s >= 2, every m_i >= 0 and every n_j >= 1."""
+    if len(m) < 2 or len(n) < 2:
+        raise InvalidRange(f"need r >= 2 and s >= 2, got r={len(m)}, s={len(n)}")
+    if any(mi < 0 for mi in m):
+        raise InvalidRange(f"m entries must be >= 0, got {m}")
+    if any(nj < 1 for nj in n):
+        raise InvalidRange(f"n entries must be >= 1, got {n}")
+
+
 def cyclic_product(m: tuple[int, ...], n: tuple[int, ...], k: int) -> IntPoly:
     """prod_i gauss_binom(m_i+m_{i+1}+1, m_i+k) * prod_j gauss_binom(n_j+n_{j+1}, n_j+k),
     with wraparound m_{r+1} = m_1, n_{s+1} = n_1."""
@@ -128,9 +134,10 @@ class _TermTable:
     """The (a, b)-free part of F at (m, n): for each k with a nonzero term,
     the term, (-1)^k times the product of its factors, and the division by
     the prefactor's Phi_d with e_d < 0.  The terms and the divisor are
-    packed once, at one slot width that holds the divisor's L1 norm and a
-    bound on every coefficient of a sum of shifted terms; that norm is kept
-    for the quotient's certificate."""
+    packed once, at the qpoly.slot_width of the terms' factors with the
+    divisor's L1 norm as its floor, which holds that norm and every
+    coefficient of a sum of shifted terms; the norm is kept for the
+    quotient's certificate."""
 
     __slots__ = ("ks", "lengths", "divide", "width", "terms", "divisor", "divisor_l1")
 
@@ -139,18 +146,11 @@ class _TermTable:
         coeffs = [[f.coeffs for f in factors] for _, factors in terms]
         self.lengths = [sum(map(len, factors)) - len(factors) + 1 for factors in coeffs]
         self.divide = divide
-        bound = 0
-        for factors in coeffs:
-            # Young's inequality ||f g||_inf <= ||f||_inf ||g||_1, with f the
-            # factor of least ||f||_inf / ||f||_1, bounds the term's coefficients
-            norms = [(max(map(abs, f)), sum(map(abs, f))) for f in factors]
-            total = prod([l1 for _, l1 in norms])
-            bound += min([top * (total // l1) for top, l1 in norms])
         self.divisor_l1 = sum(map(abs, divide.divisor.coeffs))
-        self.width = width = slot_bytes(max(bound, self.divisor_l1), True)
+        self.width = width = slot_width(coeffs, self.divisor_l1)
         packed = [prod([_packed_factor(f, width) for f in factors]) for factors in coeffs]
         self.terms = [-term if k % 2 else term for k, term in zip(self.ks, packed)]
-        self.divisor = pack(divide.divisor.coeffs, width, True)
+        self.divisor = pack(divide.divisor.coeffs, width)
 
     def evaluate(self, a: int, b: int) -> IntPoly:
         """The sum of the terms shifted by q^{a k^2 + (2b-1) k(k-1)/2},
@@ -176,8 +176,8 @@ _split_prefactor = lru_cache(maxsize=256)(cyclotomic_split)
 
 @lru_cache(maxsize=256)
 def _packed_factor(coeffs: tuple[int, ...], width: int) -> int:
-    """The polynomial with these coefficients in signed width-byte slots."""
-    return pack(coeffs, width, True)
+    """The polynomial with these coefficients in width-byte slots."""
+    return pack(coeffs, width)
 
 
 @lru_cache(maxsize=16)
@@ -473,14 +473,17 @@ def recombine_check(
     (m3, ..., m_r) relates to the one over (ell, m3, ..., m_r) through the
     stated ratio of Pochhammer symbols.
 
-    Both sides are compared as plain polynomials; a side whose Pochhammer
-    index goes negative is zero by convention.  No rational-function
-    arithmetic is involved.
+    m and n must lie in F's domain, r >= 3, s >= 2, every m_i >= 0 and
+    every n_j >= 1, and ell >= 0; InvalidRange otherwise.  Both sides are
+    compared as plain polynomials; a side whose Pochhammer index goes
+    negative is zero by convention.  No rational-function arithmetic is
+    involved.
     """
     m = tuple(m)
     n = tuple(n)
     if len(m) < 3:
         raise InvalidRange(f"recombine_check needs r >= 3, got r={len(m)}")
+    _check_shape(m, n)
     if ell < 0:
         raise InvalidRange(f"recombine_check needs ell >= 0, got {ell}")
     tail = m[2:]

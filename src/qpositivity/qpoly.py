@@ -7,31 +7,30 @@ shared freely between threads.  A sum of shifted terms is built by
 shifted_sum, which adds every term into one list instead of making a new
 polynomial per term.
 
-Long products use Kronecker substitution: a polynomial is packed into the
+Products use Kronecker substitution: a polynomial is packed into the
 integer that is its value at q = 256**width, one width-byte slot per
 coefficient, and CPython's subquadratic bignum multiply does the
-convolution.  Packing and unpacking take linear time.  slot_bytes rounds a
-slot of at most 8 bytes up to the standard little-endian word of 1, 2, 4 or
-8 bytes, which struct converts in C, all coefficients in one call.  A slot
-of any other width goes through one int.to_bytes or int.from_bytes call per
-coefficient.  On either path a coefficient that does not fit its slot
-raises OverflowError.  Signed slots hold two's complement bytes T, and the
-packed value is (T ^ H) - H, with H half a slot in every slot: flipping a
-slot's top bit adds half a slot to its coefficient, which the subtraction
-takes away exactly.  A signed result is unpacked as (v + H) ^ H, so a
-product costs one pack per operand, one bignum multiply and one unpack
-(signed, or balanced, packing: Harvey, J. Symbolic Comput. 44, 2009).
+convolution.  Packing and unpacking take linear time.  Slots are signed:
+each holds two's complement bytes T, and the packed value is (T ^ H) - H,
+with H half a slot in every slot: flipping a slot's top bit adds half a
+slot to its coefficient, which the subtraction takes away exactly.  A
+result is unpacked as (v + H) ^ H, so a product costs one pack per operand,
+one bignum multiply and one unpack (signed, or balanced, packing: Harvey,
+J. Symbolic Comput. 44, 2009).  slot_bytes rounds a slot of at most 8 bytes
+up to the standard little-endian word of 1, 2, 4 or 8 bytes, which struct
+converts in C, all coefficients in one call.  A slot of any other width
+goes through one int.to_bytes or int.from_bytes call per coefficient.  On
+either path a coefficient that does not fit below half its slot raises
+OverflowError.
 
 product_sum(terms) builds a sum of shifted products, q**e times a product
-of factors per term: it packs every factor once, in signed slots when any
-factor has a negative coefficient, at a width that holds the sum over the
-terms of the product of their factors' L1 norms, multiplies each term's
-packed integers as a balanced tree, shifts it by e whole slots, adds the
-integers and unpacks once.  product(factors) is one such term,
-unshifted, and `*` is the product of its two operands.  A result of at most
-_SHORT_PRODUCT coefficients is built by schoolbook convolution instead: the
-shifted_sum of each term's chain of products of coefficient tuples,
-shortest first.
+of factors per term, always packed: it packs every factor once, at the
+width slot_width gives, multiplies each term's packed integers as a
+balanced tree, shifts it by e whole slots, adds the integers and unpacks
+once.  slot_width bounds every coefficient of such a sum by Young's
+inequality, whatever the shifts; F's term tables take their width from it
+too.  product(factors) is one such term, unshifted, and `*` is the product
+of its two operands.
 
 packed_quotient(dividend, ...) divides a polynomial that is already packed
 by a monic one with one divmod, and certifies the unpacked quotient by a
@@ -41,7 +40,6 @@ bound on its coefficients; an uncertified quotient is divided exactly.
 from __future__ import annotations
 
 import struct
-from functools import reduce
 from itertools import repeat
 from math import prod
 from operator import add, sub
@@ -64,18 +62,27 @@ class DegreeExceedsBound(Exception):
     """The polynomial's degree is larger than the requested reversal bound."""
 
 
-# A product of at most this many result coefficients is built by schoolbook
-# convolution: packing won from results of about 22-30 coefficients on,
-# timed on the products the benchmark workloads make.
-_SHORT_PRODUCT = 32
-
-
-def slot_bytes(bound: int, signed: bool) -> int:
-    """Bytes per slot for values of absolute value at most bound: below half
-    a slot when signed, below a whole slot otherwise.  A width of at most 8
-    bytes is rounded up to the struct word that holds it, 1, 2, 4 or 8."""
-    width = max((bound.bit_length() + signed + 7) // 8, 1)
+def slot_bytes(bound: int) -> int:
+    """Bytes per slot for values of absolute value at most bound, below half
+    a slot.  A width of at most 8 bytes is rounded up to the struct word that
+    holds it, 1, 2, 4 or 8."""
+    width = (bound.bit_length() + 8) // 8
     return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+def slot_width(terms: Iterable[Sequence[Sequence[int]]], floor: int = 0) -> int:
+    """The slot_bytes of a bound, at least floor, on every coefficient of a
+    sum of shifted products, one product per term of factor coefficient
+    lists, whatever the shifts.  By Young's inequality ||f g||_inf <=
+    ||f||_inf ||g||_1, with f the factor of least ||f||_inf / ||f||_1, a
+    product's coefficients are at most ||f||_inf times the L1 norms of the
+    other factors; the bound is the sum of these over the terms."""
+    bound = 0
+    for factors in terms:
+        norms = [(max(map(abs, f)), sum(map(abs, f))) for f in factors]
+        total = prod([l1 for _, l1 in norms])
+        bound += min([top * (total // l1) for top, l1 in norms])
+    return slot_bytes(max(bound, floor))
 
 
 def _halves(width: int, count: int) -> int:
@@ -83,46 +90,37 @@ def _halves(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-# The little-endian struct word codes of slots of 1, 2, 4 and 8 bytes, by
-# width; a slot of any other width is converted one coefficient at a time.
-_CODES = ("", "B", "H", "", "I", "", "", "", "Q")
+# The little-endian signed struct word codes of slots of 1, 2, 4 and 8
+# bytes, by width; a slot of any other width is converted one coefficient
+# at a time.
+_CODES = ("", "b", "h", "", "i", "", "", "", "q")
 
 
-def _code(width: int, signed: bool) -> str:
-    code = _CODES[width] if width < len(_CODES) else ""
-    return code.lower() if signed else code
-
-
-def pack(coeffs: Sequence[int], width: int, signed: bool) -> int:
-    """The value at q = 256**width.  Signed coefficients are stored as two's
+def pack(coeffs: Sequence[int], width: int) -> int:
+    """The value at q = 256**width.  Coefficients are stored as two's
     complement slots T; the value is (T ^ H) - H, H half a slot in each slot."""
     count = len(coeffs)
-    code = _code(width, signed)
+    code = _CODES[width] if width < len(_CODES) else ""
     if code:
         try:
             data = struct.pack(f"<{count}{code}", *coeffs)
         except struct.error as exc:
             raise OverflowError(f"coefficient too large for a slot of {width} bytes") from exc
     else:
-        data = b"".join([c.to_bytes(width, "little", signed=signed) for c in coeffs])
-    value = int.from_bytes(data, "little")
-    if signed:
-        halves = _halves(width, count)
-        return (value ^ halves) - halves
-    return value
+        data = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
+    halves = _halves(width, count)
+    return (int.from_bytes(data, "little") ^ halves) - halves
 
 
-def unpack(v: int, width: int, count: int, signed: bool) -> list[int]:
+def unpack(v: int, width: int, count: int) -> list[int]:
     """The count coefficients of the polynomial whose value at 256**width is
-    v; signed slots are read as two's complement (v + H) ^ H."""
-    if signed:
-        halves = _halves(width, count)
-        v = (v + halves) ^ halves
-    data = v.to_bytes(width * count, "little")
-    code = _code(width, signed)
+    v, read from the two's complement slots (v + H) ^ H."""
+    halves = _halves(width, count)
+    data = ((v + halves) ^ halves).to_bytes(width * count, "little")
+    code = _CODES[width] if width < len(_CODES) else ""
     if code:
         return list(struct.unpack(f"<{count}{code}", data))
-    return [int.from_bytes(data[i : i + width], "little", signed=signed) for i in range(0, width * count, width)]
+    return [int.from_bytes(data[i : i + width], "little", signed=True) for i in range(0, width * count, width)]
 
 
 class IntPoly:
@@ -322,24 +320,13 @@ def packed_quotient(dividend: int, count: int, width: int, divide, packed_den: i
     quotient, remainder = divmod(dividend, packed_den)
     if not remainder:
         try:
-            coeffs = unpack(quotient, width, max(count - len(divide.divisor.coeffs) + 1, 0), True)
+            coeffs = unpack(quotient, width, max(count - len(divide.divisor.coeffs) + 1, 0))
         except OverflowError:
             pass
         else:
             if max(map(abs, coeffs), default=0) * den_l1 < 1 << 8 * width - 1:
                 return IntPoly(coeffs)
-    return divide(IntPoly(unpack(dividend, width, count, True)))
-
-
-def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # the leading coefficient is a product of two nonzero ones, so the
-    # result of two canonical operands has no trailing zero
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+    return divide(IntPoly(unpack(dividend, width, count)))
 
 
 def product(factors: Iterable[IntPoly]) -> IntPoly:
@@ -355,13 +342,10 @@ def product_sum(terms: Iterable[tuple[int, Iterable[IntPoly]]]) -> IntPoly:
     """The sum of q**e * product(factors) over the (e, factors) pairs
     (e >= 0); a term with a zero factor is skipped whatever its e.
 
-    A result of at most _SHORT_PRODUCT coefficients is the shifted_sum of
-    the terms' products, each a chain of schoolbook convolutions of the
-    factors' coefficient tuples, shortest first.  A longer one is packed,
-    every factor once, at a slot width holding the sum over the terms of
-    the product of their factors' L1 norms, which bounds every coefficient
-    of the result: each term is one tree product of packed integers,
-    shifted by whole slots, and the sum is unpacked once."""
+    Every factor is packed once, at the slot_width of the terms' factors,
+    which holds every coefficient of the result, so CPython's subquadratic
+    bignum multiply does the convolutions: each term is one tree product of
+    packed integers, shifted by e whole slots, and the sum is unpacked once."""
     kept = []
     for e, factors in terms:
         polys = [f.coeffs for f in factors] or [ONE.coeffs]
@@ -372,29 +356,12 @@ def product_sum(terms: Iterable[tuple[int, Iterable[IntPoly]]]) -> IntPoly:
         kept.append((e, polys))
     if not kept:
         return ZERO
-    if max(e + _product_length(polys) for e, polys in kept) <= _SHORT_PRODUCT:
-        return shifted_sum((e, IntPoly(reduce(_schoolbook, sorted(polys, key=len)))) for e, polys in kept)
-    bound = sum(prod(sum(map(abs, p)) for p in polys) for _, polys in kept)
-    return _packed_sum(kept, bound)
-
-
-def _product_length(polys: list[Sequence[int]]) -> int:
-    return sum(map(len, polys)) - len(polys) + 1
-
-
-def _packed_sum(terms: list[tuple[int, list[Sequence[int]]]], bound: int) -> IntPoly:
-    # Pack each coefficient list once, at a width that holds every result
-    # coefficient (at most bound in absolute value), so CPython's
-    # subquadratic bignum multiply does the convolutions; a shift by e is
-    # e whole slots.  Unpack the sum once.
-    signed = any(min(p) < 0 for _, polys in terms for p in polys)
-    width = slot_bytes(bound, signed)
+    width = slot_width(polys for _, polys in kept)
     total = 0
-    for e, polys in terms:
-        packed = [pack(p, width, signed) for p in polys]
-        total += _tree_product(packed) << 8 * width * e
-    count = max(e + _product_length(polys) for e, polys in terms)
-    return IntPoly(unpack(total, width, count, signed))
+    for e, polys in kept:
+        total += _tree_product([pack(p, width) for p in polys]) << 8 * width * e
+    count = max(e + sum(map(len, polys)) - len(polys) + 1 for e, polys in kept)
+    return IntPoly(unpack(total, width, count))
 
 
 def _tree_product(items: list[int]) -> int:

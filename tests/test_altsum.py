@@ -562,6 +562,10 @@ class TestRecombine:
             recombine_check((1, 1), (1, 1), 0, 0)
         with pytest.raises(InvalidRange):
             recombine_check((1, 1, 1), (1, 1), -1, 0)
+        # outside F's domain, where both sides can vanish and pass
+        for m, n in (((1, 1, -1), (1, 1)), ((-1, 1, 1), (1, 1)), ((1, 1, 1), (0, 1)), ((1, 1, 1), (1,))):
+            with pytest.raises(InvalidRange):
+                recombine_check(m, n, 1, 0)
 
 
 class TestPositivityGridSample:

@@ -613,6 +613,8 @@ _OPTIMIZED_CASES = [
     *((argv, 2) for argv, expect in _load_workloads().verify_mix(1) if expect == ("invalid",)),
     (["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--a", "3",
       "--unsafe-params", "--checks", "positivity,reciprocity"], 1),
+    # both sides vanish at an m entry below 0, outside F's domain
+    (["verify", "recombine", "--m", "1,1,-1", "--n", "1,1", "--ell", "1", "--k=0"], 2),
 ]
 
 

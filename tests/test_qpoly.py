@@ -1,13 +1,13 @@
 import json
 import random
 from itertools import zip_longest
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpositivity.qcombinat import Division
 from qpositivity.qpoly import (
-    _SHORT_PRODUCT,
     DegreeExceedsBound,
     IntPoly,
     NotDivisible,
@@ -19,6 +19,7 @@ from qpositivity.qpoly import (
     product_sum,
     shifted_sum,
     slot_bytes,
+    slot_width,
     unpack,
 )
 
@@ -72,13 +73,13 @@ long_polys = st.builds(
 @st.composite
 def product_terms(draw):
     """(e, factors) terms for product_sum: up to 4 terms of 1 to 3 kernel
-    operands, a ZERO factor now and then, shifts from 0 past _SHORT_PRODUCT."""
+    operands, a ZERO factor now and then, shifts from 0 to 40."""
     terms = []
     for _ in range(draw(st.integers(0, 4))):
         factors = [IntPoly(f) for f in draw(st.lists(kernel_operands(24), min_size=1, max_size=3))]
         if draw(st.integers(0, 5)) == 0:
             factors.insert(draw(st.integers(0, len(factors))), ZERO)
-        terms.append((draw(st.integers(0, _SHORT_PRODUCT + 8)), factors))
+        terms.append((draw(st.integers(0, 40)), factors))
     return terms
 
 
@@ -167,8 +168,8 @@ def divide_packed(p, den):
     """packed_quotient as F calls it: the dividend packed at the first width
     that holds its coefficients and den's L1 norm, with a Division by den."""
     den_l1 = sum(map(abs, den))
-    width = slot_bytes(max(max(map(abs, p), default=0), den_l1), True)
-    dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
+    width = slot_bytes(max(max(map(abs, p), default=0), den_l1))
+    dividend, packed_den = pack(p.coeffs, width), pack(den.coeffs, width)
     return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den, den_l1)
 
 
@@ -215,7 +216,7 @@ class TestPackedQuotient:
 
     def test_quotient_wider_than_the_dividend(self):
         def at_width(p, den, width):
-            dividend, packed_den = pack(p.coeffs, width, True), pack(den.coeffs, width, True)
+            dividend, packed_den = pack(p.coeffs, width), pack(den.coeffs, width)
             den_l1 = sum(map(abs, den))
             return packed_quotient(dividend, len(p.coeffs), width, Division(den, "den"), packed_den, den_l1)
 
@@ -238,7 +239,7 @@ class TestPackedQuotient:
         p = quotient * den
         assert p == P(-100, -100, 73, 127)
         with pytest.raises(OverflowError):
-            unpack(divmod(pack(p.coeffs, 1, True), pack(den.coeffs, 1, True))[0], 1, 3, True)
+            unpack(divmod(pack(p.coeffs, 1), pack(den.coeffs, 1))[0], 1, 3)
         assert at_width(p, den, 1) == quotient
 
 
@@ -338,7 +339,7 @@ class TestShiftedSum:
 
 
 def test_kronecker_path_matches_naive_reference():
-    # Results longer than _SHORT_PRODUCT exercise the packed-integer path.
+    # Long operands with coefficients of about 30 bits.
     rng = random.Random(20260826)
     for _ in range(5):
         a = [rng.randint(-10**9, 10**9) for _ in range(120)]
@@ -348,12 +349,13 @@ def test_kronecker_path_matches_naive_reference():
 
 class TestKernels:
     @settings(max_examples=300, deadline=None)
-    @given(kernel_operands(_SHORT_PRODUCT + 4), kernel_operands(_SHORT_PRODUCT + 4))
+    @given(kernel_operands(20), kernel_operands(21))
     def test_mul_matches_naive_reference_across_the_cutoff(self, a, b):
+        # results of 1 to 40 coefficients
         assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(naive_mul(a, b))
 
     def test_short_times_long(self):
-        # a short operand times a long one is packed: slot-edge and signed
+        # a short operand times a long one: slot-edge and signed
         # coefficients, either operand first; the result's third coefficient
         # is 2 * 2**126 + (2**63 - 1)**2, past a 16-byte signed slot
         rng = random.Random(20261020)
@@ -391,13 +393,11 @@ class TestKernels:
         assert product([P(1, 1), P(1, -1)]) == P(1, 0, -1)
 
     def test_product_on_both_sides_of_the_short_threshold(self):
-        # Results of _SHORT_PRODUCT coefficients and fewer are built by
-        # schoolbook convolution, longer ones packed: nonnegative and
+        # Every result length from 1 to 40, and longer ones: nonnegative and
         # mixed-sign factors, and a q-Pochhammer-like list of many sparse
         # factors.
         rng = random.Random(20261018)
-        edge = _SHORT_PRODUCT
-        shapes = ([2, 2], [edge // 2, edge // 2 + 1], [edge // 2 + 1] * 2, [edge // 4 + 1] * 4, [100, 100, 100])
+        shapes = [[(length + 1) // 2, length // 2 + 1] for length in range(1, 41)] + [[9] * 4, [100, 100, 100]]
         cases = [[[rng.randint(lo, 10**12) for _ in range(n)] for n in sizes] for sizes in shapes for lo in (0, -(10**12))]
         cases.append([[1] + [0] * (k - 1) + [-1] for k in range(1, 30)])
         for factors in cases:
@@ -408,64 +408,97 @@ class TestKernels:
 
 
 class TestPacking:
-    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("negative", [False, True])
     @pytest.mark.parametrize("width", range(1, 27))
-    def test_round_trip_and_value(self, width, signed):
+    def test_round_trip_and_value(self, width, negative):
         # Widths 1, 2, 4 and 8 take one struct call, every other width the
-        # per-coefficient path.  Coefficients include the extremes a slot holds.
+        # per-coefficient path.  Coefficients include the extremes a slot
+        # holds, with or without negative ones.
         half = 1 << (8 * width - 1)
-        edges = [-half, -(half - 1), 0, half - 1] if signed else [0, half - 1, 2 * half - 1]
+        edges = [-half, -(half - 1), 0, half - 1] if negative else [0, half - 1]
         rng = random.Random(width)
         for count in (0, 1, 5, 300):
             cases = [[edge] * count for edge in edges]
             cases.append([rng.choice(edges + [rng.randint(edges[0], edges[-1])]) for _ in range(count)])
             for cs in cases:
-                packed = pack(cs, width, signed)
+                packed = pack(cs, width)
                 assert packed == sum(c << (8 * width * i) for i, c in enumerate(cs))
-                assert unpack(packed, width, count, signed) == cs
+                assert unpack(packed, width, count) == cs
 
-    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("negative", [False, True])
     @pytest.mark.parametrize("width", range(1, 27))
-    def test_coefficient_past_the_slot_raises(self, width, signed):
+    def test_coefficient_past_the_slot_raises(self, width, negative):
         # on either path a coefficient outside its slot raises, and never
-        # wraps into a two's complement slot
+        # wraps into a two's complement slot: below -half, or from half on,
+        # which a nonnegative coefficient reaches at the top bit of its slot
         half = 1 << (8 * width - 1)
-        for bad in (-half - 1, half) if signed else (-1, 2 * half):
+        for bad in (-half - 1, half) if negative else (half, 2 * half - 1):
             for count in (1, 300):
                 with pytest.raises(OverflowError):
-                    pack([0] * (count - 1) + [bad], width, signed)
+                    pack([0] * (count - 1) + [bad], width)
 
     def test_pinned_values(self):
         # a slot layout with its bytes out of order would round-trip but
         # pack other values; 3- and 5-byte slots take the per-coefficient path
-        assert pack([1, 2, 3], 3, False) == 1 + 2 * 256**3 + 3 * 256**6
-        assert pack([1, 2, 3] * 10, 3, False) == sum(c * 256 ** (3 * i) for i, c in enumerate([1, 2, 3] * 10))
-        assert pack([-1, 2], 5, True) == -1 + 2 * 256**5
-        assert unpack(1 + 2 * 256**3 + 3 * 256**6, 3, 3, False) == [1, 2, 3]
-        with pytest.raises(OverflowError):
-            pack([2**24] * 30, 3, False)
+        assert pack([1, 2, 3], 3) == 1 + 2 * 256**3 + 3 * 256**6
+        assert pack([1, 2, 3] * 10, 3) == sum(c * 256 ** (3 * i) for i, c in enumerate([1, 2, 3] * 10))
+        assert pack([-1, 2], 5) == -1 + 2 * 256**5
+        assert unpack(1 + 2 * 256**3 + 3 * 256**6, 3, 3) == [1, 2, 3]
+        for bad in (2**23, 2**24):
+            with pytest.raises(OverflowError):
+                pack([bad] * 30, 3)
 
 
 class TestSlotBytes:
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_rounds_to_a_word_up_to_8_bytes(self, signed):
+    def test_rounds_to_a_word_up_to_8_bytes(self):
         # at every byte edge: never below the exact byte count, the smallest
         # struct word that holds it up to 8 bytes, and the count itself above
         for j in range(1, 11):
             for edge in (1 << (8 * j - 1), 1 << (8 * j)):
                 for bound in (edge - 1, edge, edge + 1):
-                    exact = (bound.bit_length() + signed + 7) // 8
-                    width = slot_bytes(bound, signed)
+                    exact = (bound.bit_length() + 8) // 8
+                    width = slot_bytes(bound)
                     assert width >= exact
-                    assert bound < 1 << (8 * width - signed)
+                    assert bound < 1 << (8 * width - 1)
                     if exact <= 8:
                         assert width == min(w for w in (1, 2, 4, 8) if w >= exact)
                     else:
                         assert width == exact
 
     def test_zero_takes_one_byte(self):
-        assert slot_bytes(0, False) == 1
-        assert slot_bytes(0, True) == 1
+        assert slot_bytes(0) == 1
+
+    def test_half_slot_boundaries(self):
+        # a bound takes the next width once it reaches half a slot
+        assert slot_bytes(127) == 1
+        assert slot_bytes(128) == 2
+        assert slot_bytes(2**63 - 1) == 8
+        assert slot_bytes(2**63) == 9
+
+
+class TestSlotWidth:
+    @settings(max_examples=300, deadline=None)
+    @given(product_terms())
+    def test_holds_the_sum_and_is_no_wider_than_the_l1_bound(self, terms):
+        # product_sum's factors: a term with a zero factor is skipped
+        kept = [[f.coeffs for f in factors] for _, factors in terms if all(factors)]
+        width = slot_width(kept)
+        half = 1 << (8 * width - 1)
+        assert all(-half < c < half for c in naive_product_sum(terms).coeffs)
+        # the width the product of the factors' L1 norms gives
+        assert width <= slot_bytes(sum(prod(sum(map(abs, f)) for f in factors) for factors in kept))
+
+    def test_examples(self):
+        assert slot_width([]) == 1
+        assert slot_width([], 128) == 2
+        # (1 + ... + q^99)^2 has coefficients up to 100: Young's bound is
+        # 1 * 100 and fits one byte, the product of the L1 norms does not
+        ones = (1,) * 100
+        assert slot_width([[ones, ones]]) == 1
+        assert slot_bytes(100 * 100) == 2
+        # the bound adds over the terms, whatever their shifts
+        assert slot_width([[(100,)], [(28,)]]) == 2
+        assert slot_width([[(100,)], [(27,)]], 127) == 1
 
 
 class TestProductSum:
@@ -482,21 +515,26 @@ class TestProductSum:
         assert product_sum([(-1, [ZERO]), (2, [long])]) == long.shift(2)
         assert product_sum([(3, [])]) == ONE.shift(3)
         assert product_sum([(0, [P(1, 1)]), (1, [P(1, 1), P(1, -1)])]) == P(1, 2, 0, -1)
-        # each term fits one byte and their sum needs two, so the slot width
-        # must bound the sum and not the largest term
-        top = IntPoly([0] * 40 + [255])
-        assert product_sum([(0, [top]), (0, [top])]) == IntPoly([0] * 40 + [510])
+        # each term fits a signed byte and their sum needs two, so the slot
+        # width must bound the sum and not the largest term
+        top = IntPoly([0] * 40 + [100])
+        assert product_sum([(0, [top]), (0, [top])]) == IntPoly([0] * 40 + [200])
         with pytest.raises(ValueError):
             product_sum([(-1, [P(1)])])
 
     def test_on_both_sides_of_the_short_threshold(self):
         # A shift past every other term, mixed signs, byte-slot edges, and
-        # results of _SHORT_PRODUCT coefficients and one more.
+        # results of every length from 1 to 40.
         rng = random.Random(20261019)
-        edge = _SHORT_PRODUCT
         for lo in (0, -(2**63)):
-            factors = [IntPoly(rng.randint(lo, 2**63 - 1) for _ in range(n)) for n in (edge // 2, edge // 2, 40)]
-            for length in (edge, edge + 1):
+            for length in range(1, 41):
+                sizes = ((length + 1) // 2, length // 2 + 1)
+                halves = [IntPoly(rng.randint(lo, 2**63 - 1) for _ in range(n)) for n in sizes]
+                terms = [(0, halves), (length - 1, [P(3)])]
+                assert len(product_sum(terms).coeffs) == length
+                assert product_sum(terms) == naive_product_sum(terms)
+            factors = [IntPoly(rng.randint(lo, 2**63 - 1) for _ in range(n)) for n in (16, 16, 40)]
+            for length in (32, 33):
                 terms = [(0, factors[:2]), (length - 5, [P(3, -1, 4, 1, 5)])]
                 assert len(product_sum(terms).coeffs) == length
                 assert product_sum(terms) == naive_product_sum(terms)
