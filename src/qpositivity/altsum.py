@@ -146,8 +146,8 @@ class _TermTable:
         coeffs = [[f.coeffs for f in factors] for _, factors in terms]
         self.lengths = [sum(map(len, factors)) - len(factors) + 1 for factors in coeffs]
         self.divide = divide
-        self.divisor_l1 = sum(map(abs, divide.divisor.coeffs))
-        self.width = width = slot_width(coeffs, self.divisor_l1)
+        self.divisor_l1 = divide.divisor.norms[1]
+        self.width = width = slot_width([factors for _, factors in terms], self.divisor_l1)
         packed = [prod([_packed_factor(f, width) for f in factors]) for factors in coeffs]
         self.terms = [-term if k % 2 else term for k, term in zip(self.ks, packed)]
         self.divisor = pack(divide.divisor.coeffs, width)

@@ -8,7 +8,9 @@ grid, the check names and the output file are validated before the first
 row.  An F grid is walked one (m, n) block at a time (altsum.Block): F at
 each requested (a, b) is evaluated first, then the block's rows are decided
 from those values and written, so a block holds at most |a|·|b|
-polynomials and is dropped after its rows are written.  A row is one small
+polynomials and is dropped after its rows are written.  A C grid is walked
+one m-row at a time (catalan.odd_super_catalan_walk), so it holds one
+value, and each step certifies the next.  A row is one small
 record (_Row): the instance, its value, its q = 1 value, its passed and
 failed checks and, for F, whether it lies outside the theorem and its
 block.  One line function per format writes it; jsonl and json share one
@@ -189,19 +191,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
-def _pair_grid(family: str, args: argparse.Namespace) -> list[tuple[tuple[int, int], None, None]]:
-    """The (x, y) instances of an A/B/C scan, in report order, with no out_of_theorem flag and no block."""
+def _pair_grid(family: str, args: argparse.Namespace) -> Iterator[tuple[tuple[int, int], IntPoly, None, None]]:
+    """The (x, y) instances of an A/B/C scan, in report order, with their
+    values, no out_of_theorem flag and no block.  C is walked one m-row at a
+    time (catalan.odd_super_catalan_walk), so a C scan holds one value."""
     if args.max_sum is None or args.max_sum < 0:
         raise InvalidRange("scan of A/B/C needs --max-sum >= 0")
-    bound = args.max_sum
+    bound, evaluate = args.max_sum, _PAIRS[family][0]
     if family == "B":
-        return [((n, m), None, None) for n in range(bound + 1) for m in range(n + 1)]
-    return [((m, n), None, None) for m in range(bound + 1) for n in range(bound - m + 1)]
+        return (((n, m), evaluate(n, m), None, None) for n in range(bound + 1) for m in range(n + 1))
+    if family == "C":
+        return (((m, n), poly, None, None)
+                for m in range(bound + 1) for n, poly in enumerate(catalan.odd_super_catalan_walk(m, bound - m)))
+    return (((m, n), evaluate(m, n), None, None) for m in range(bound + 1) for n in range(bound - m + 1))
 
 
-def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, bool, altsum.Block]]:
-    """The instances of an F scan, in report order, with their out_of_theorem
-    flags and the block of their (m, n).  The grid and that flag are decided
+def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, IntPoly | None, bool, altsum.Block]]:
+    """The instances of an F scan, in report order, with their values (None
+    where F is not a polynomial), their out_of_theorem flags and the block
+    of their (m, n).  The grid and that flag are decided
     once per (a, b), so instances are built without a second validation;
     only --m-min 0 tests each m.  The grid is (m, n)-major, so each block is
     made when its first row is asked for and dropped after its last."""
@@ -219,15 +227,14 @@ def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, bool, alts
     m_values = product(range(args.m_min, args.param_max + 1), repeat=args.r)
     n_values = product(range(1, args.param_max + 1), repeat=args.s)
     blocks = (altsum.Block(m, n, outside) for m, n in product(m_values, n_values))
-    return ((CyclicParams._make((block.m, block.n, a, b, unsafe)), out or zero_m and 0 in block.m, block)
-            for block in blocks for (a, b), out in outside.items())
+    return ((CyclicParams._make((block.m, block.n, a, b, unsafe)), block.values[a, b],
+             out or zero_m and 0 in block.m, block) for block in blocks for (a, b), out in outside.items())
 
 
-def _rows(family: str, instances: Iterable[tuple[Any, bool | None, altsum.Block | None]],
+def _rows(family: str, instances: Iterable[tuple[Any, IntPoly | None, bool | None, altsum.Block | None]],
           checks: list[str]) -> Iterator[_Row]:
     verdicts = [(check, _CHECKS[check][1]) for check in checks]
-    for params, out_of_theorem, block in instances:
-        poly = _PAIRS[family][0](*params) if block is None else block.values[params.a, params.b]
+    for params, poly, out_of_theorem, block in instances:
         # only F can fail to be a polynomial; its q = 1 value is then an exact fraction
         value = block.at_one if poly is None else poly.eval_at_one()
         row = _Row(params, poly, value, out_of_theorem, block)

@@ -1,23 +1,26 @@
 """q-analog primitives: q-integers, q-factorials, q-Pochhammer products,
 Gaussian (q-binomial) coefficients, and the triangular exponent k(k-1)/2.
 
-Every ratio of q-factorials in the package is computed from cyclotomic
-exponents, and its value at q = 1 by ratio_at_one.  [N]! is the product of
-Phi_d^floor(N/d) over d >= 2, so a ratio is the product of Phi_d^e_d with
-e_d = sum floor(i/d) over num minus sum floor(j/d) over den, and it is a
-polynomial exactly when every e_d >= 0.  cyclotomic_split does this
-bookkeeping once: it gives the Phi_d with e_d > 0, and a function making the
-one small exact division by the Phi_d with e_d < 0, which names the first
-negative exponent when it fails.  q_ratio multiplies the Phi_d with e_d > 0
-by qpoly.product and divides; altsum's F applies the same split of its
-prefactor to a table of k-terms.
+Every ratio of q-factorials in the package, except the odd super Catalan
+numbers that catalan walks from a Gaussian coefficient, is computed from
+cyclotomic exponents, and its value at q = 1 by ratio_at_one.  [N]! is the
+product of Phi_d^floor(N/d) over d >= 2, so a ratio is the product of
+Phi_d^e_d with e_d = sum floor(i/d) over num minus sum floor(j/d) over den,
+and it is a polynomial exactly when every e_d >= 0.  cyclotomic_split does
+this bookkeeping once: it gives the Phi_d with e_d > 0, and a function
+making the one small exact division by the Phi_d with e_d < 0, which names
+the first negative exponent when it fails.  q_ratio multiplies the Phi_d
+with e_d > 0 by qpoly.product and divides; altsum's F applies the same
+split of its prefactor to a table of k-terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, prod
+from operator import add, floordiv, sub
 from typing import Any, NamedTuple
 
 from .qpoly import IntPoly, NotDivisible, ONE, ZERO, product
@@ -104,10 +107,14 @@ def cyclotomic_split(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[
     prod Phi_d^e_d: each Phi_d with e_d > 0, e_d times, and the exact division
     by the Phi_d^-e_d with e_d < 0, which raises NotDivisible naming the first
     of them ("Phi_2 exponent -1") when it leaves a remainder."""
-    top_index = max((*num, *den), default=0)
-    exponents = {d: sum(i // d for i in num) - sum(j // d for j in den) for d in range(2, top_index + 1)}
-    over = tuple(cyclotomic(d) for d, e in exponents.items() for _ in range(e))
-    short = [(d, e) for d, e in exponents.items() if e < 0]
+    # exponents[d] is e_d; each index adds (num) or takes away (den) its
+    # floor(i / d) for every d <= i in one map, and e_0 = e_1 = 0 name nothing
+    exponents = [0] * (max((*num, *den), default=0) + 1)
+    for indices, op in ((num, add), (den, sub)):
+        for i in indices:
+            exponents[2 : i + 1] = map(op, exponents[2 : i + 1], map(floordiv, repeat(i), range(2, i + 1)))
+    over = tuple(cyclotomic(d) for d, e in enumerate(exponents) for _ in range(e))
+    short = [(d, e) for d, e in enumerate(exponents) if e < 0]
     if not short:
         return over, _UNCHANGED
     under = product(cyclotomic(d) for d, e in short for _ in range(-e))

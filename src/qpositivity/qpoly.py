@@ -29,8 +29,11 @@ width slot_width gives, multiplies each term's packed integers as a
 balanced tree, shifts it by e whole slots, adds the integers and unpacks
 once.  slot_width bounds every coefficient of such a sum by Young's
 inequality, whatever the shifts; F's term tables take their width from it
-too.  product(factors) is one such term, unshifted, and `*` is the product
-of its two operands.
+too.  It reads each factor's max and L1 norms from IntPoly.norms, which a
+polynomial computes on first use and keeps in a slot, so a cached factor
+(a Gaussian coefficient, a Phi_d, a sub-value of the recursive C) has its
+norms computed once; packed values are not kept.  product(factors) is one
+such term, unshifted, and `*` is the product of its two operands.
 
 packed_quotient(dividend, ...) divides a polynomial that is already packed
 by a monic one with one divmod, and certifies the unpacked quotient by a
@@ -70,16 +73,17 @@ def slot_bytes(bound: int) -> int:
     return width if width > 8 else 1 << (width - 1).bit_length()
 
 
-def slot_width(terms: Iterable[Sequence[Sequence[int]]], floor: int = 0) -> int:
+def slot_width(terms: Iterable[Sequence["IntPoly"]], floor: int = 0) -> int:
     """The slot_bytes of a bound, at least floor, on every coefficient of a
-    sum of shifted products, one product per term of factor coefficient
-    lists, whatever the shifts.  By Young's inequality ||f g||_inf <=
+    sum of shifted products, one product per term of nonzero factors,
+    whatever the shifts.  By Young's inequality ||f g||_inf <=
     ||f||_inf ||g||_1, with f the factor of least ||f||_inf / ||f||_1, a
     product's coefficients are at most ||f||_inf times the L1 norms of the
-    other factors; the bound is the sum of these over the terms."""
+    other factors; the bound is the sum of these over the terms.  The norms
+    are the ones each factor keeps (IntPoly.norms)."""
     bound = 0
     for factors in terms:
-        norms = [(max(map(abs, f)), sum(map(abs, f))) for f in factors]
+        norms = [f.norms for f in factors]
         total = prod([l1 for _, l1 in norms])
         bound += min([top * (total // l1) for top, l1 in norms])
     return slot_bytes(max(bound, floor))
@@ -132,13 +136,27 @@ class IntPoly:
     '1 + 2q^2'
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_norms")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
+        self._norms: tuple[int, int] | None = None
+
+    def __reduce__(self):
+        # pickled by its coefficients alone, so the kept norms never change its bytes
+        return IntPoly, (self.coeffs,)
+
+    @property
+    def norms(self) -> tuple[int, int]:
+        """(max |c|, sum |c|), the max and L1 norms, computed on first use
+        and kept: a polynomial never changes."""
+        if self._norms is None:
+            magnitudes = list(map(abs, self.coeffs))
+            self._norms = (max(magnitudes, default=0), sum(magnitudes))
+        return self._norms
 
     # -- basic structure ------------------------------------------------
 
@@ -348,19 +366,19 @@ def product_sum(terms: Iterable[tuple[int, Iterable[IntPoly]]]) -> IntPoly:
     packed integers, shifted by e whole slots, and the sum is unpacked once."""
     kept = []
     for e, factors in terms:
-        polys = [f.coeffs for f in factors] or [ONE.coeffs]
-        if not all(polys):
+        factors = list(factors) or [ONE]
+        if not all(factors):
             continue
         if e < 0:
             raise ValueError(f"negative shift {e}")
-        kept.append((e, polys))
+        kept.append((e, factors))
     if not kept:
         return ZERO
-    width = slot_width(polys for _, polys in kept)
+    width = slot_width(factors for _, factors in kept)
     total = 0
-    for e, polys in kept:
-        total += _tree_product([pack(p, width) for p in polys]) << 8 * width * e
-    count = max(e + sum(map(len, polys)) - len(polys) + 1 for e, polys in kept)
+    for e, factors in kept:
+        total += _tree_product([pack(f.coeffs, width) for f in factors]) << 8 * width * e
+    count = max(e + sum(len(f.coeffs) for f in factors) - len(factors) + 1 for e, factors in kept)
     return IntPoly(unpack(total, width, count))
 
 

@@ -5,8 +5,10 @@ quotients, per-k scans) and shares no code with the package under test,
 except factorial_division_ratio, which keeps the package's earlier route for
 ratios of q-factorials on its IntPoly arithmetic, f_k_sum, the package's
 earlier route for F on top of it, deletion_difference, the deletion
-recurrence summed from f_k_sum, and gauss_binom_pascal, the Gaussian
-coefficient by the q-Pascal recurrence on IntPoly addition and shifts.
+recurrence summed from f_k_sum, gauss_binom_pascal, the Gaussian
+coefficient by the q-Pascal recurrence on IntPoly addition and shifts, and
+inner_sum, the recursive C's inner sum as the recurrence states it, on top
+of gauss_binom_pascal.
 scan_report_json writes a jsonl or json scan report as the package once
 did: a dict per row, through json.dumps.  f_scan_rows decides the rows of
 an F scan one instance at a time, as the package once did, through its
@@ -86,6 +88,17 @@ def gauss_binom_pascal(N: int, K: int) -> IntPoly:
     if K == 0 or K == N:
         return ONE
     return gauss_binom_pascal(N - 1, K - 1) + gauss_binom_pascal(N - 1, K).shift(K)
+
+
+def inner_sum(N: int, h: int, k: int) -> IntPoly:
+    """The oracle for the recursive C's k-th inner sum, term by term as the
+    recurrence states it: the sum over k <= j < h - k of
+    q^{k(N+k+1)+j(N+j+1)} [h-2k-1, j-k], every Gaussian coefficient by
+    gauss_binom_pascal, added one shifted term at a time."""
+    total = ZERO
+    for j in range(k, h - k):
+        total = total + gauss_binom_pascal(h - 2 * k - 1, j - k).shift(k * (N + k + 1) + j * (N + j + 1))
+    return total
 
 
 def exponents_nonnegative(a: int, b: int, n1: int) -> bool:

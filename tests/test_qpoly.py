@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from itertools import zip_longest
 from math import prod
@@ -476,29 +477,76 @@ class TestSlotBytes:
         assert slot_bytes(2**63) == 9
 
 
+@st.composite
+def equal_terms(draw):
+    """Many copies of one single-factor term at one shift, whose sum needs a
+    wider word than the term alone: the factor's largest |c| is 1/2 to 1/40
+    of its word's half slot, and there are just enough copies for the sum
+    to pass that half slot, so a width that bounds the largest term alone
+    does not hold the sum."""
+    half = 1 << (8 * draw(st.sampled_from([1, 2, 4, 8])) - 1)
+    top = (half - 1) // draw(st.integers(2, 40))
+    length = draw(st.integers(1, 9))
+    coeffs = draw(st.lists(st.integers(-top, top), min_size=length, max_size=length))
+    coeffs[draw(st.integers(0, length - 1))] = draw(st.sampled_from([top, -top]))
+    factor, e = IntPoly(coeffs), draw(st.integers(0, 5))
+    return [(e, [factor])] * (half // top + 1 + draw(st.integers(0, 2)))
+
+
 class TestSlotWidth:
     @settings(max_examples=300, deadline=None)
     @given(product_terms())
     def test_holds_the_sum_and_is_no_wider_than_the_l1_bound(self, terms):
         # product_sum's factors: a term with a zero factor is skipped
-        kept = [[f.coeffs for f in factors] for _, factors in terms if all(factors)]
+        kept = [factors for _, factors in terms if all(factors)]
         width = slot_width(kept)
         half = 1 << (8 * width - 1)
         assert all(-half < c < half for c in naive_product_sum(terms).coeffs)
         # the width the product of the factors' L1 norms gives
-        assert width <= slot_bytes(sum(prod(sum(map(abs, f)) for f in factors) for factors in kept))
+        assert width <= slot_bytes(sum(prod(sum(map(abs, f.coeffs)) for f in factors) for factors in kept))
+
+    @settings(max_examples=100, deadline=None)
+    @given(equal_terms())
+    def test_holds_a_sum_wider_than_its_largest_term(self, terms):
+        width = slot_width(factors for _, factors in terms)
+        half = 1 << (8 * width - 1)
+        expected = naive_product_sum(terms)
+        assert all(-half < c < half for c in expected.coeffs)
+        # the sum passes the half slot that holds one term
+        assert max(map(abs, expected.coeffs)) >= 1 << (8 * slot_width([terms[0][1]]) - 1)
+        assert product_sum(terms) == expected
 
     def test_examples(self):
         assert slot_width([]) == 1
         assert slot_width([], 128) == 2
         # (1 + ... + q^99)^2 has coefficients up to 100: Young's bound is
         # 1 * 100 and fits one byte, the product of the L1 norms does not
-        ones = (1,) * 100
+        ones = IntPoly((1,) * 100)
         assert slot_width([[ones, ones]]) == 1
         assert slot_bytes(100 * 100) == 2
         # the bound adds over the terms, whatever their shifts
-        assert slot_width([[(100,)], [(28,)]]) == 2
-        assert slot_width([[(100,)], [(27,)]], 127) == 1
+        assert slot_width([[P(100)], [P(28)]]) == 2
+        assert slot_width([[P(100)], [P(27)]], 127) == 1
+        # signed factors are bounded by their magnitudes
+        assert slot_width([[P(-100, 3)], [P(0, -28)]]) == 2
+
+
+class TestNorms:
+    @pytest.mark.parametrize("poly", [ZERO, ONE, P(3, -5, 2), P(0, -1), IntPoly([10**40, 0, -(3**80), 7])])
+    def test_match_recomputed_values(self, poly):
+        magnitudes = [abs(c) for c in poly.coeffs]
+        assert poly.norms == (max(magnitudes, default=0), sum(magnitudes))
+        assert poly.norms is poly.norms  # computed once, then kept
+
+    @given(st.lists(kernel_coeffs, max_size=8))
+    def test_reading_them_changes_nothing_else(self, coeffs):
+        poly, fresh = IntPoly(coeffs), IntPoly(coeffs)
+        assert poly.norms == (max(map(abs, fresh.coeffs), default=0), sum(map(abs, fresh.coeffs)))
+        assert poly == fresh and hash(poly) == hash(fresh)
+        assert repr(poly) == repr(fresh) and str(poly) == str(fresh)
+        assert pickle.dumps(poly) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(poly))
+        assert copy == fresh and copy.norms == poly.norms
 
 
 class TestProductSum:
