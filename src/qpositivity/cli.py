@@ -15,6 +15,14 @@ record (_Row): the instance, its value, its q = 1 value, its passed and
 failed checks and, for F, whether it lies outside the theorem and its
 block.  One line function per format writes it; jsonl and json share one
 encoder that writes the sorted keys directly, the bytes json.dumps would.
+
+A scan forks one worker per CPU in its affinity mask (`taskset -c 0` gives
+one), at most one per unit of its grid, after the grid, the checks and the
+output file are validated.  Worker w formats units w, w + N, ... and sends
+each on its own pipe; the scan writes them in report order, so the bytes,
+the exit code and the stderr summary are those of one process.  If a
+worker raises or dies, every worker is killed and reaped, and that unit and
+the later ones run in-process.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import altsum, catalan
 from .altsum import CyclicParams
@@ -191,28 +199,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
-def _pair_grid(family: str, args: argparse.Namespace) -> Iterator[tuple[tuple[int, int], IntPoly, None, None]]:
-    """The (x, y) instances of an A/B/C scan, in report order, with their
-    values, no out_of_theorem flag and no block.  C is walked one m-row at a
-    time (catalan.odd_super_catalan_walk), so a C scan holds one value."""
+def _pair_grid(family: str, args: argparse.Namespace) -> list[Iterator[tuple[tuple[int, int], IntPoly, None, None]]]:
+    """The units of an A/B/C scan, in report order: one m-row each (one n
+    for B) of (x, y) instances with their values, no out_of_theorem flag
+    and no block, evaluated as the unit is iterated.  C is walked one m-row
+    at a time (catalan.odd_super_catalan_walk), so a C unit holds one value."""
     if args.max_sum is None or args.max_sum < 0:
         raise InvalidRange("scan of A/B/C needs --max-sum >= 0")
     bound, evaluate = args.max_sum, _PAIRS[family][0]
-    if family == "B":
-        return (((n, m), evaluate(n, m), None, None) for n in range(bound + 1) for m in range(n + 1))
-    if family == "C":
-        return (((m, n), poly, None, None)
-                for m in range(bound + 1) for n, poly in enumerate(catalan.odd_super_catalan_walk(m, bound - m)))
-    return (((m, n), evaluate(m, n), None, None) for m in range(bound + 1) for n in range(bound - m + 1))
+
+    def unit(x: int) -> Iterator[tuple[tuple[int, int], IntPoly, None, None]]:
+        ys = range(x + 1) if family == "B" else range(bound - x + 1)
+        values = catalan.odd_super_catalan_walk(x, bound - x) if family == "C" else (evaluate(x, y) for y in ys)
+        return (((x, y), value, None, None) for y, value in zip(ys, values))
+
+    return [unit(x) for x in range(bound + 1)]
 
 
-def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, IntPoly | None, bool, altsum.Block]]:
-    """The instances of an F scan, in report order, with their values (None
-    where F is not a polynomial), their out_of_theorem flags and the block
-    of their (m, n).  The grid and that flag are decided
-    once per (a, b), so instances are built without a second validation;
-    only --m-min 0 tests each m.  The grid is (m, n)-major, so each block is
-    made when its first row is asked for and dropped after its last."""
+def _f_grid(args: argparse.Namespace) -> list[Iterator[tuple[CyclicParams, IntPoly | None, bool, altsum.Block]]]:
+    """The units of an F scan, in report order: one m-vector each, with the
+    instances of all its (m, n) blocks, their values (None where F is not a
+    polynomial), their out_of_theorem flags and the block of their (m, n).
+    The grid and that flag are decided once per (a, b), so instances are
+    built without a second validation; only --m-min 0 tests each m.  A unit
+    makes each block when its first row is asked for and drops it after its
+    last."""
     if args.r is None or args.s is None or args.param_max is None:
         raise InvalidRange("scan of F needs --r, --s and --param-max")
     if args.r < 2 or args.s < 2 or args.param_max < 1 or args.m_min < 0:
@@ -223,12 +234,17 @@ def _f_grid(args: argparse.Namespace) -> Iterator[tuple[CyclicParams, IntPoly | 
     for a, b in product(a_values, b_values):  # whether (a, b) is valid depends only on a, b, r and s
         CyclicParams((args.m_min,) * args.r, (args.param_max,) * args.s, a, b, args.unsafe_params)
         outside[a, b] = not (0 <= a <= args.s and 1 <= b <= args.r)
-    unsafe, zero_m = args.unsafe_params, args.m_min == 0
-    m_values = product(range(args.m_min, args.param_max + 1), repeat=args.r)
-    n_values = product(range(1, args.param_max + 1), repeat=args.s)
-    blocks = (altsum.Block(m, n, outside) for m, n in product(m_values, n_values))
-    return ((CyclicParams._make((block.m, block.n, a, b, unsafe)), block.values[a, b],
-             out or zero_m and 0 in block.m, block) for block in blocks for (a, b), out in outside.items())
+    unsafe = args.unsafe_params
+    n_values = list(product(range(1, args.param_max + 1), repeat=args.s))
+
+    def unit(m: tuple[int, ...]) -> Iterator[tuple[CyclicParams, IntPoly | None, bool, altsum.Block]]:
+        zero_m = args.m_min == 0 and 0 in m
+        for n in n_values:
+            block = altsum.Block(m, n, outside)
+            for (a, b), out in outside.items():
+                yield CyclicParams._make((m, n, a, b, unsafe)), block.values[a, b], out or zero_m, block
+
+    return [unit(m) for m in product(range(args.m_min, args.param_max + 1), repeat=args.r)]
 
 
 def _rows(family: str, instances: Iterable[tuple[Any, IntPoly | None, bool | None, altsum.Block | None]],
@@ -301,17 +317,118 @@ _FORMATS: dict[str, tuple[str, Callable[[str, _Row], str], str, str]] = {
 }
 
 
-def _write(family: str, rows: Iterable[_Row], fmt: str, stream: TextIO) -> tuple[int, int]:
-    """Write each row as it comes; return the numbers of rows and of failing rows."""
+def _write(family: str, rows: Iterable[_Row], fmt: str, stream: TextIO,
+           records: Iterable[tuple[str, int, int]] = ()) -> tuple[int, int]:
+    """Write the records, each the text of some rows with every row after the
+    row separator, and their numbers of rows and of failing rows; then write
+    each row as it comes.  Return the numbers of rows and of failing rows."""
     head, line, separator, tail = _FORMATS[fmt]
     stream.write(head)
     count = failures = 0
+    for text, rows_in_text, failed in records:
+        stream.write(text if count else text[len(separator):])
+        count += rows_in_text
+        failures += failed
     for row in rows:
         stream.write(separator + line(family, row) if count else line(family, row))
         count += 1
         failures += bool(row.failed)
     stream.write(tail)
     return count, failures
+
+
+def _worker_count() -> int:
+    """One scan worker per CPU in this process's affinity mask (`taskset`
+    gives fewer), or one where os.fork or os.sched_getaffinity is missing or
+    a second thread runs, since a fork copies only the calling thread."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+def _work(family: str, units: Iterable[Iterator[Any]], checks: list[str], fmt: str, pipe: BinaryIO) -> None:
+    """In a worker: send each unit's rows to pipe as one record, a line with
+    the numbers of its bytes, rows and failing rows, then its UTF-8 text,
+    every row after the row separator."""
+    _, line, separator, _ = _FORMATS[fmt]
+    for unit in units:
+        texts, failures = [], 0
+        for row in _rows(family, unit, checks):
+            texts.append(separator + line(family, row))
+            failures += bool(row.failed)
+        text = "".join(texts).encode()
+        pipe.write(b"%d %d %d\n" % (len(text), len(texts), failures) + text)
+        pipe.flush()
+
+
+def _forked(family: str, units: list[Iterator[Any]], checks: list[str], fmt: str, workers: int,
+            pending: Iterator[Iterator[Any]]) -> Iterator[tuple[str, int, int]]:
+    """The records of units from forked workers, in report order, each
+    taking pending past its unit.  Worker w formats units w, w + workers,
+    ... and sends them on pipe w; the pipe's buffer bounds how far it runs
+    ahead.  The records stop at the first unit that its worker did not
+    send whole, because it raised or died, so that the caller runs that unit
+    and the later ones in-process.  Every worker is killed and reaped
+    before the records stop, and on every exception."""
+    import fcntl
+    import signal
+
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            with contextlib.suppress(OSError):  # 1 MiB, not 64 KiB, so that a worker waits less for a slow one
+                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: the caller runs every unit in-process
+                os.close(write_end)
+                return
+            if pid == 0:  # the worker never returns, prints, or flushes what it inherited
+                try:
+                    for pipe in pipes:  # so that only the parent reads, and sees each worker's end
+                        os.close(pipe.fileno())
+                    _work(family, units[w::workers], checks, fmt, open(write_end, "wb"))
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(write_end)
+        for i in range(len(units)):
+            pipe = pipes[i % workers]
+            header = pipe.readline()
+            if not header.endswith(b"\n"):
+                return
+            size, count, failures = map(int, header.split())
+            text = pipe.read(size)
+            if len(text) < size:
+                return
+            next(pending)
+            yield text.decode(), count, failures
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _scan(family: str, units: list[Iterator[Any]], checks: list[str], fmt: str, stream: TextIO) -> tuple[int, int]:
+    """Write the report of units to stream and return its numbers of rows
+    and of failing rows.  With one worker the rows stream in-process; with
+    more, the workers' records come first, and the rows of any unit they did
+    not send are computed here."""
+    pending = iter(units)
+    rows = _rows(family, (instance for unit in pending for instance in unit), checks)
+    workers = min(_worker_count(), len(units))
+    if workers < 2:
+        return _write(family, rows, fmt, stream)
+    with contextlib.closing(_forked(family, units, checks, fmt, workers, pending)) as records:
+        return _write(family, rows, fmt, stream, records)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -321,10 +438,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     unknown = [c for c in checks if c not in _CHECKS or args.family not in _CHECKS[c][0]]
     if unknown:
         raise InvalidRange(f"checks not applicable to family {args.family}: {', '.join(unknown)}")
-    instances = _f_grid(args) if args.family == "F" else _pair_grid(args.family, args)
+    units = _f_grid(args) if args.family == "F" else _pair_grid(args.family, args)
     try:
         with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as stream:
-            count, failures = _write(args.family, _rows(args.family, instances, checks), args.format, stream)
+            count, failures = _scan(args.family, units, checks, args.format, stream)
             stream.flush()  # so that a closed pipe fails here, not when stdout is flushed at exit
     except OSError as exc:
         if not args.out:  # what is left in stdout's buffer goes to devnull, not to the exit's flush

@@ -518,6 +518,9 @@ class TestDeletion:
             raise AssertionError(f"the summed deletion route at {params}")
 
         monkeypatch.setattr(altsum, "_deletion_check", forbidden)
+        # one worker: the caches read below are this process's, and a forked
+        # worker would fill its own
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
         out = tmp_path / "report.jsonl"
         argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2",
                 "--checks", "positivity,reciprocity,degree-bound,deletion,q1-specialization", "--out", str(out)]
@@ -600,6 +603,9 @@ class TestTermTable:
         builds.clear()
         for cache in _altsum_caches():
             cache.cache_clear()
+        # one worker: a forked worker would count its builds in its own copy
+        # of builds
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
         argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2",
                 "--checks", "positivity,reciprocity,degree-bound", "--out", str(tmp_path / "report.jsonl")]
         assert main(argv) == 0
@@ -658,6 +664,9 @@ class TestTermTable:
                 calls[m, n, a, b] += 1
 
             _before_each_evaluation(monkeypatch, counted)
+            # one worker: a forked worker would count its calls in its own
+            # copy of calls; the pin is set again after each undo
+            monkeypatch.setattr(cli, "_worker_count", lambda: 1)
             argv = ["scan", "F", "--r", "3", "--s", str(s), "--param-max", "2",
                     "--a", ",".join(map(str, a_values)), "--b", ",".join(map(str, b_values)),
                     "--checks", "deletion,reciprocity", "--out", str(tmp_path / "report.jsonl")]

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpositivity import catalan
+from qpositivity import catalan, cli
 from qpositivity.catalan import (
     double_expansion_check,
     odd_super_catalan_direct,
@@ -199,6 +199,9 @@ class TestOddSuperCatalanRecursive:
             return memo(m, n)
 
         monkeypatch.setattr(catalan, "_sub_value", recorded)
+        # one worker: keys and the cache read below are this process's, and a
+        # forked worker would fill its own
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
         argv = ["scan", "C", "--max-sum", "16", "--checks", "oracle-equivalence", "--out", str(tmp_path / "c.jsonl")]
         assert main(argv) == 0
         # the recurrence for C(m, n) revisits C(x, y) only when 2(x+y)+1 <= m+n

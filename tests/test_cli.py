@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qpositivity import altsum, cli
+from qpositivity import altsum, catalan, cli
 from qpositivity.altsum import CyclicParams
 from qpositivity.cli import main
 from qpositivity.qcombinat import InvalidRange
@@ -263,13 +263,17 @@ class TestScan:
             reader, writer = os.pipe()
             os.close(reader)
             try:
-                proc = subprocess.run([sys.executable, "-m", "qpositivity", "scan", "C", "--max-sum", max_sum,
-                                       "--format", "text"], stdout=writer, stderr=subprocess.PIPE, text=True,
-                                      env=env, timeout=60)
+                # in a session of its own, whose process group outlives no worker
+                proc = subprocess.Popen([sys.executable, "-m", "qpositivity", "scan", "C", "--max-sum", max_sum,
+                                         "--format", "text"], stdout=writer, stderr=subprocess.PIPE, text=True,
+                                        env=env, start_new_session=True)
             finally:
                 os.close(writer)
-            assert (proc.returncode, "Traceback" in proc.stderr) == (2, False), proc.stderr
-            assert "cannot write stdout" in proc.stderr
+            _, stderr = proc.communicate(timeout=60)
+            assert (proc.returncode, "Traceback" in stderr) == (2, False), stderr
+            assert "cannot write stdout" in stderr
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
 
     # Bad grids are rejected before the first row, so the third evaluation is
     # made to fail; the two rows already streamed stay written.  A scan
@@ -289,6 +293,9 @@ class TestScan:
             return evaluate(table, a, b)
 
         monkeypatch.setattr(altsum._TermTable, "evaluate", evaluation_rejecting_the_third)
+        # one worker: "the third evaluation" counts this process's
+        # evaluations, and each forked worker would count its own
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -329,6 +336,141 @@ class TestScan:
         failed = {(row["params"]["a"], row["params"]["b"]): row["checks_failed"]
                   for row in map(json.loads, capsys.readouterr().out.splitlines()) if row["checks_failed"]}
         assert failed == {(0, 2): ["reciprocity", "deletion"], (2, 2): ["reciprocity"]}
+
+
+F_ALL = "positivity,reciprocity,degree-bound,deletion,q1-specialization"
+# Scans whose reports must not depend on the number of workers: A, B and C
+# with --max-sum <= 8, and F with r, s <= 3 and --param-max <= 2, in and out
+# of the window, restricted and with m entries of 0.
+WORKER_SCANS = [
+    ["scan", "A", "--max-sum", "8", "--checks", "positivity,q1-specialization"],
+    ["scan", "B", "--max-sum", "8", "--checks", "q1-specialization,positivity"],
+    ["scan", "C", "--max-sum", "8", "--checks", "positivity,oracle-equivalence,q1-specialization"],
+    ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2", "--checks", F_ALL],
+    ["scan", "F", "--r", "3", "--s", "3", "--param-max", "2", "--a", "1", "--b", "2,3", "--checks", F_ALL],
+    ["scan", "F", "--r", "2", "--s", "3", "--param-max", "2", "--m-min", "0", "--a", "0,1,4", "--b", "1,3",
+     "--unsafe-params", "--checks", F_ALL],
+]
+
+
+def _scan_with(monkeypatch, workers, argv):
+    """main(argv) with the given number of workers: its exit code, stdout,
+    stderr and the number of processes it forked."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), len(forks)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("fmt", ["jsonl", "json", "csv", "text"])
+    @pytest.mark.parametrize("argv", WORKER_SCANS, ids=[" ".join(argv[1:4]) for argv in WORKER_SCANS])
+    def test_one_and_two_workers_give_the_same_scan(self, argv, fmt, monkeypatch, tmp_path):
+        argv = argv + ["--format", fmt]
+        *one, forks = _scan_with(monkeypatch, 1, argv)
+        assert forks == 0 and one[0] in (0, 1)
+        *two, forks = _scan_with(monkeypatch, 2, argv)
+        assert forks == 2
+        assert two == one
+        _no_child_left()
+        out = tmp_path / f"report.{fmt}"
+        assert _scan_with(monkeypatch, 2, argv + ["--out", str(out)]) == (one[0], "", one[2], 2)
+        assert out.read_text() == one[1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "C", "--max-sum", "-1"],
+        ["scan", "C", "--max-sum", "4", "--checks", "reciprocity"],
+        # a = 0, b = 0 makes the k = -1 exponent negative; the first (a, b) is valid
+        ["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--a", "0", "--b", "1,0", "--unsafe-params"],
+    ])
+    def test_rejected_grid_forks_no_worker(self, argv, monkeypatch, tmp_path):
+        out = tmp_path / "report.jsonl"
+        code, stdout, err, forks = _scan_with(monkeypatch, 2, argv + ["--out", str(out)])
+        assert (code, stdout, forks) == (2, "", 0)
+        assert "invalid input" in err
+        assert not out.exists()
+
+    def test_non_polynomial_instance_from_a_worker(self, monkeypatch):
+        # the forked workers inherit the patch
+        _fail_evaluation_at(monkeypatch, CyclicParams((2, 1, 1), (1, 1), 1, 2))
+        argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2", "--checks", F_ALL]
+        *one, _ = _scan_with(monkeypatch, 1, argv)
+        assert one[0] == 1
+        assert _scan_with(monkeypatch, 2, argv) == (*one, 2)
+        _no_child_left()
+
+    def test_failing_c_walk_exits_3_as_one_worker_does(self, monkeypatch):
+        # the m = 3 row, the second worker's, fails at n = 2; the rows before
+        # it are written by both runs
+        walk = catalan.odd_super_catalan_walk
+
+        def failing_walk(m, top):
+            for n, poly in enumerate(walk(m, top)):
+                if (m, n) == (3, 2):
+                    raise NotDivisible(IntPoly((1,)))
+                yield poly
+
+        monkeypatch.setattr(catalan, "odd_super_catalan_walk", failing_walk)
+        argv = ["scan", "C", "--max-sum", "6", "--format", "text"]
+        *one, _ = _scan_with(monkeypatch, 1, argv)
+        assert one[0] == 3 and "divisibility failure" in one[2]
+        assert len(one[1].splitlines()) == 7 + 6 + 5 + 2
+        assert _scan_with(monkeypatch, 2, argv) == (*one, 2)
+        _no_child_left()
+
+    def test_worker_that_dies_mid_unit(self, monkeypatch):
+        # the worker that walks the m = 3 row ends in the middle of it; the
+        # scan runs that row and the later ones in this process
+        walk, parent = catalan.odd_super_catalan_walk, os.getpid()
+
+        def dying_walk(m, top):
+            for n, poly in enumerate(walk(m, top)):
+                if (m, n) == (3, 2) and os.getpid() != parent:
+                    os._exit(1)
+                yield poly
+
+        argv = ["scan", "C", "--max-sum", "6", "--checks", "positivity,q1-specialization"]
+        *one, _ = _scan_with(monkeypatch, 1, argv)
+        monkeypatch.setattr(catalan, "odd_super_catalan_walk", dying_walk)
+        assert _scan_with(monkeypatch, 2, argv) == (*one, 2)
+        _no_child_left()
+
+    def test_failed_fork_scans_in_process(self, monkeypatch):
+        # the second fork fails: the first worker is killed and every unit
+        # runs in this process
+        argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "2", "--checks", F_ALL]
+        *one, _ = _scan_with(monkeypatch, 1, argv)
+        fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue(), len(forks)) == (*one, 2)
+        _no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_report_leaves_no_worker(self, monkeypatch):
+        code, _, err, forks = _scan_with(monkeypatch, 2, ["scan", "C", "--max-sum", "8", "--out", "/dev/full"])
+        assert (code, forks) == (2, 2)
+        assert "cannot write /dev/full" in err
+        _no_child_left()
 
 
 def _fail_evaluation_at(monkeypatch, bad):
@@ -418,6 +560,9 @@ def test_block_scan_against_one_instance_oracle(data):
     kernels_fail = data.draw(st.booleans())
     summed = []
     with pytest.MonkeyPatch.context() as patch:
+        # one worker: summed counts this process's calls, and a forked worker
+        # would append to its own copy
+        patch.setattr(cli, "_worker_count", lambda: 1)
         if kernels_fail:
             patch.setattr(altsum, "_kernels_hold", lambda *key: False)
         try:
