@@ -41,8 +41,9 @@ table is the only packed code here.
 F is the entry for one instance.  A scan walks its grid one (m, n) at a
 time, through a Block: the term table evaluates each requested (a, b) once,
 the q = 1 value, delta and the kernels' verdict are looked up once, and
-each row's reciprocity and deletion verdicts are read from the block,
-through the same predicates as reciprocity_check and deletion_check.
+each row's reciprocity and deletion checks are decided by the block.  They
+are decided nowhere else: reciprocity_check and deletion_check are the
+same methods on a block of the instance's one or two points.
 
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
@@ -200,7 +201,7 @@ def F(params: CyclicParams) -> IntPoly:
 @lru_cache(maxsize=4096)
 def _polynomial_points(m: tuple[int, ...], n: tuple[int, ...]) -> set[tuple[int, int]]:
     """The (a, b) at which F at the sub-instance (m, n) has evaluated without
-    NotDivisible, a set that deletion_check fills; a failure is never added,
+    NotDivisible, a set that Block.deletion fills; a failure is never added,
     so it is raised anew."""
     return set()
 
@@ -209,12 +210,6 @@ def _polynomial_points(m: tuple[int, ...], n: tuple[int, ...]) -> set[tuple[int,
 def _kernels_hold(m1: int, m2: int, m3: int, mr: int, k: int) -> bool:
     """Whether the deletion kernel holds at k."""
     return deletion_kernel_check(m1, m2, m3, mr, k).passed
-
-
-def _every_kernel_holds(m: tuple[int, ...], n1: int) -> bool:
-    """Whether the deletion kernel of the m-vector m holds at every k in [-n1, n1]."""
-    m1, m2, m3 = m[:3]
-    return all(_kernels_hold(m1, m2, m3, m[-1], k) for k in range(-n1, n1 + 1))
 
 
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:
@@ -269,24 +264,11 @@ def _reciprocity_dual(params: CyclicParams) -> CyclicParams:
         ) from None
 
 
-def _reciprocal(p: IntPoly, q: IntPoly, bound: int) -> bool:
-    """The reciprocity verdict: deg q <= bound, and q reversed at degree bound is p."""
-    pad = bound + 1 - len(q.coeffs)
-    return pad >= 0 and p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == (0,) * pad + q.coeffs[::-1]
-
-
 def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
-    """Check that reversing F(s-a, r-b+1) at degree delta(m, n) recovers
-    F(a, b), together with the degree bound making the reversal lossless."""
+    """Block.reciprocity at params, from a block of params and its dual;
+    an out-of-range dual raises InvalidRange before anything is evaluated."""
     dual = _reciprocity_dual(params)
-    p, q = F(params), F(dual)
-    bound = delta(params.m, params.n)
-    info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
-    if _reciprocal(p, q, bound):
-        return IdentityCheckResult("reciprocity", info, True, ZERO)
-    # the difference is built only when the check fails; past the bound it is q
-    difference = q if len(q.coeffs) > bound + 1 else q.reverse_to_degree(bound) - p
-    return IdentityCheckResult("reciprocity", info, False, difference)
+    return Block(params.m, params.n, dict.fromkeys([params[2:4], dual[2:4]])).reciprocity(params)
 
 
 def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
@@ -347,43 +329,14 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     [m1+m_r+1, m1-ell], what is left is deletion_kernel_check at
     (m1, m2, m3, m_r, k).  So when the kernel holds at every k and every F
     involved is a polynomial, the two sides are equal, and the check passes
-    with a zero difference.  F at each sub-instance is evaluated once per
-    (m', n, a, b-1) and only the verdict is kept.  A NotDivisible of the
-    instance or of a sub-instance is raised as the summed route would raise
-    it, anew on every call; when a kernel fails, the summed route
-    (_deletion_check) computes the difference."""
+    with a zero difference.  Block.deletion decides it, from a block of the
+    instance; r < 3 or b < 2 raises InvalidRange before anything is
+    evaluated."""
     if params.r < 3 or params.b < 2:
         raise InvalidRange(
             f"deletion_check requires r >= 3 and 2 <= b <= r, got r={params.r}, b={params.b}"
         )
-    m, n, a, b = params.m, params.n, params.a, params.b
-    if not _every_kernel_holds(m, n[0]):
-        return _deletion_check(params)
-    F(params)
-    _check_sub_instances(_sub_tables(m, n), n, a, b)
-    return IdentityCheckResult("deletion", {"m": m, "n": n, "a": a, "b": b}, True, ZERO)
-
-
-def _sub_tables(m: tuple[int, ...], n: tuple[int, ...]) -> list[tuple[tuple[int, ...], set[tuple[int, int]]]]:
-    """For each deletion sub-instance table ((ell, m3, ..., m_r), n) with
-    ell <= min(m1, m2), its m-vector and its set of polynomial points.  At
-    (a, b - 1) it gives F at a valid instance (r - 1 >= 2, a + 2(b - 1) >= 1)
-    when (m, n, a, b) is one with b >= 2, whether or not it is in the window."""
-    subs = [(ell,) + m[2:] for ell in range(min(m[0], m[1]) + 1)]
-    return [(sub, _polynomial_points(sub, n)) for sub in subs]
-
-
-def _check_sub_instances(subs: list[tuple[tuple[int, ...], set[tuple[int, int]]]], n: tuple[int, ...],
-                         a: int, b: int) -> None:
-    """Raise NotDivisible unless F is a polynomial at (sub, n, a, b - 1) for
-    every sub of subs, _sub_tables(m, n): the verdict of a deletion check at
-    a polynomial instance whose kernels hold.  Each sub-instance is
-    evaluated once, and only the verdict is kept."""
-    point = (a, b - 1)
-    for sub, passed in subs:
-        if point not in passed:
-            _term_table(sub, n).evaluate(a, b - 1)
-            passed.add(point)
+    return Block(params.m, params.n, [params[2:4]]).deletion(params)
 
 
 def _deletion_check(params: CyclicParams) -> IdentityCheckResult:
@@ -397,16 +350,17 @@ def _deletion_check(params: CyclicParams) -> IdentityCheckResult:
         for ell in range(min(m1, m2) + 1)
     )
     diff = lhs - rhs
-    info = {"m": m, "n": n, "a": a, "b": b}
-    return IdentityCheckResult("deletion", info, diff.is_zero(), diff)
+    return IdentityCheckResult("deletion", {"m": m, "n": n, "a": a, "b": b}, diff.is_zero(), diff)
 
 
 class Block:
     """F at the (a, b) of points for one (m, n), the unit a scan walks, and
-    the verdicts of F's checks at them.  values maps each (a, b) to F there,
-    evaluated once from the term table, or to None where F is not a
-    polynomial; so a block holds at most len(points) polynomials.  The
-    q = 1 value, delta, the deletion kernels' verdict and the deletion
+    F's reciprocity and deletion checks at them, which are decided here
+    only.  values maps each (a, b) to F there, evaluated once from the term
+    table, or to None where F is not a polynomial, and failures maps such an
+    (a, b) to the NotDivisible of its evaluation, which a check at it
+    raises; so a block holds at most len(points) polynomials.  The q = 1
+    value, delta, the deletion kernels' verdict and the deletion
     sub-instance tables do not depend on (a, b), and each is looked up
     once, when first asked for."""
 
@@ -414,11 +368,12 @@ class Block:
         self.m, self.n = m, n
         evaluate = _term_table(m, n).evaluate
         self.values: dict[tuple[int, int], IntPoly | None] = {}
+        self.failures: dict[tuple[int, int], NotDivisible] = {}
         for a, b in points:
             try:
                 self.values[a, b] = evaluate(a, b)
-            except NotDivisible:
-                self.values[a, b] = None
+            except NotDivisible as exc:
+                self.values[a, b], self.failures[a, b] = None, exc
 
     @cached_property
     def at_one(self) -> Fraction:
@@ -430,40 +385,63 @@ class Block:
 
     @cached_property
     def kernels(self) -> bool:
-        return _every_kernel_holds(self.m, self.n[0])
+        """Whether the deletion kernel of m holds at every k in [-n1, n1]."""
+        (m1, m2, m3, *_), mr, n1 = self.m, self.m[-1], self.n[0]
+        return all(_kernels_hold(m1, m2, m3, mr, k) for k in range(-n1, n1 + 1))
 
     @cached_property
     def subs(self) -> list[tuple[tuple[int, ...], set[tuple[int, int]]]]:
-        return _sub_tables(self.m, self.n)
+        """For each deletion sub-instance table ((ell, m3, ..., m_r), n) with
+        ell <= min(m1, m2), its m-vector and its set of polynomial points.
+        At (a, b - 1) it gives F at a valid instance (r - 1 >= 2,
+        a + 2(b - 1) >= 1) when (m, n, a, b) is one with b >= 2, whether or
+        not it is in the window."""
+        subs = [(ell,) + self.m[2:] for ell in range(min(self.m[:2]) + 1)]
+        return [(sub, _polynomial_points(sub, self.n)) for sub in subs]
 
-    def reciprocal(self, params: CyclicParams, p: IntPoly | None) -> bool:
-        """reciprocity_check's verdict at params, where F is p.  The dual's
-        value comes from the block when the dual is among its points, and
-        otherwise from F."""
+    def reciprocity(self, params: CyclicParams) -> IdentityCheckResult:
+        """Check that reversing F(s-a, r-b+1) at degree delta(m, n) recovers
+        F(a, b), together with the degree bound making the reversal
+        lossless; (a, b) is one of the block's points.  The dual's value
+        comes from the block when the dual is among its points, and
+        otherwise from F.  The instance's NotDivisible is raised before the
+        dual's; the difference is built only when the check fails."""
+        point, dual = params[2:4], (params.s - params.a, params.r - params.b + 1)
+        p = self.values[point]
         if p is None:
-            return False
-        dual = (params.s - params.a, params.r - params.b + 1)
-        try:
-            q = self.values[dual] if dual in self.values else F(_reciprocity_dual(params))
-        except (NotDivisible, InvalidRange):
-            return False
-        return q is not None and _reciprocal(p, q, self.delta)
+            raise self.failures[point]
+        q = self.values[dual] if dual in self.values else F(_reciprocity_dual(params))
+        if q is None:
+            raise self.failures[dual]
+        bound = self.delta
+        pad = bound + 1 - len(q.coeffs)
+        info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
+        if pad >= 0 and p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == (0,) * pad + q.coeffs[::-1]:
+            return IdentityCheckResult("reciprocity", info, True, ZERO)
+        # past the bound the difference is q
+        return IdentityCheckResult("reciprocity", info, False, q if pad < 0 else q.reverse_to_degree(bound) - p)
 
-    def deletion(self, params: CyclicParams, p: IntPoly | None) -> bool | None:
-        """deletion_check's verdict at params, where F is p, a NotDivisible
-        counting as a failure, or None where the recurrence is undefined
-        (r < 3 or b < 2)."""
+    def deletion(self, params: CyclicParams) -> IdentityCheckResult | None:
+        """deletion_check at params, one of the block's points, or None
+        where the recurrence is undefined (r < 3 or b < 2).  When the
+        kernels hold, F at each sub-instance is evaluated once per
+        (m', n, a, b-1) and only the verdict is kept; the instance's
+        NotDivisible is raised before a sub-instance's, which is raised anew
+        on every call.  When a kernel fails, the summed route
+        (_deletion_check) computes the difference, evaluating the instance
+        again."""
         if params.r < 3 or params.b < 2:
             return None
-        try:
-            if not self.kernels:
-                return _deletion_check(params).passed
-            if p is None:
-                return False
-            _check_sub_instances(self.subs, self.n, params.a, params.b)
-        except NotDivisible:
-            return False
-        return True
+        if self.values[params[2:4]] is None:
+            raise self.failures[params[2:4]]
+        if not self.kernels:
+            return _deletion_check(params)
+        point = (params.a, params.b - 1)
+        for sub, passed in self.subs:
+            if point not in passed:
+                _term_table(sub, self.n).evaluate(*point)
+                passed.add(point)
+        return IdentityCheckResult("deletion", {"m": self.m, "n": self.n, "a": params.a, "b": params.b}, True, ZERO)
 
 
 def recombine_check(

@@ -8,7 +8,9 @@ grid, the check names and the output file are validated before the first
 row.  An F grid is walked one (m, n) block at a time (altsum.Block): F at
 each requested (a, b) is evaluated first, then the block's rows are decided
 from those values and written, so a block holds at most |a|·|b|
-polynomials and is dropped after its rows are written.  A C grid is walked
+polynomials and is dropped after its rows are written.  The reciprocity
+and deletion checks are the block's methods, which verify calls on a block
+of one instance, so each check has one implementation.  A C grid is walked
 one m-row at a time (catalan.odd_super_catalan_walk), so it holds one
 value, and each step certifies the next.  A row is one small
 record (_Row): the instance, its value, its q = 1 value, its passed and
@@ -87,6 +89,20 @@ def _degree_bound(family: str, row: _Row) -> bool:
     return poly is not None and (poly.degree is None or poly.degree <= row.block.delta)
 
 
+def _block_check(check: Callable[[altsum.Block, CyclicParams], IdentityCheckResult | None]
+                 ) -> Callable[[str, _Row], bool | None]:
+    """The verdict of an F check that the row's block decides, one of its
+    methods: a NotDivisible or InvalidRange fails it, and None skips it."""
+    def verdict(family: str, row: _Row) -> bool | None:
+        try:
+            result = check(row.block, row.params)
+        except (NotDivisible, InvalidRange):
+            return False
+        return None if result is None else result.passed
+
+    return verdict
+
+
 # check -> (families it applies to, verdict on (family, row)).  A verdict
 # reads the row's params, poly, nonneg, value and block, never its check
 # lists; None means the check was skipped, not failed.
@@ -94,9 +110,9 @@ _CHECKS: dict[str, tuple[str, Callable[[str, _Row], bool | None]]] = {
     "positivity": ("ABCF", lambda family, row: row.nonneg),
     "oracle-equivalence": ("C", lambda family, row: catalan.odd_super_catalan_recursive(*row.params) == row.poly),
     "q1-specialization": ("ABCF", _q1_specialization),
-    "reciprocity": ("F", lambda family, row: row.block.reciprocal(row.params, row.poly)),
+    "reciprocity": ("F", _block_check(altsum.Block.reciprocity)),
     "degree-bound": ("F", _degree_bound),
-    "deletion": ("F", lambda family, row: row.block.deletion(row.params, row.poly)),
+    "deletion": ("F", _block_check(altsum.Block.deletion)),
 }
 
 

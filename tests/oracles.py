@@ -11,8 +11,8 @@ inner_sum, the recursive C's inner sum as the recurrence states it, on top
 of gauss_binom_pascal.
 scan_report_json writes a jsonl or json scan report as the package once
 did: a dict per row, through json.dumps.  f_scan_rows decides the rows of
-an F scan one instance at a time, as the package once did, through its
-single-instance entries.
+an F scan one instance at a time, from F at each instance, its reciprocity
+dual and its deletion sub-instances, with the identities written out here.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from operator import mul
 import sympy
 from sympy import S, expand, exquo, prod, symbols
 
-from qpositivity.altsum import (
-    CyclicParams,
-    F,
-    cyclic_product,
-    deletion_check,
-    delta,
-    reciprocity_check,
-    value_at_one_reference,
-)
+from qpositivity.altsum import CyclicParams, F, cyclic_product, delta, value_at_one_reference
 from qpositivity.qcombinat import InvalidRange
 from qpositivity.qpoly import IntPoly, NotDivisible, ONE, ZERO
 
@@ -208,14 +200,42 @@ def scan_report_json(family, rows, fmt) -> str:
     return "".join(dumps(row) + "\n" for row in dicts) if fmt == "jsonl" else dumps(dicts) + "\n"
 
 
+def _reciprocal(poly, params) -> bool:
+    """Whether F at the dual (s-a, r-b+1), validated as an instance, has
+    degree at most delta(m, n) and reversed at that degree is poly, F at
+    params; raises NotDivisible or InvalidRange for the dual."""
+    m, n, a, b, unsafe = params
+    dual = F(CyclicParams(m, n, len(n) - a, len(m) - b + 1, unsafe))
+    bound = delta(m, n)
+    return poly is not None and len(dual.coeffs) <= bound + 1 and dual.reverse_to_degree(bound) == poly
+
+
+def _deletion_holds(poly, params) -> bool:
+    """Whether poly, F at params, is the sum over 0 <= ell <= m1 of
+    q^{ell^2+ell} [m1, ell] [m2+m3+1, m2-ell] F((ell, m3, ..., m_r), n, a,
+    b-1), each F at a validated instance and each Gaussian coefficient by
+    gauss_binom_pascal, skipping the terms whose coefficient vanishes;
+    raises NotDivisible for a sub-instance."""
+    m, n, a, b, unsafe = params
+    if poly is None:
+        return False
+    rhs = ZERO
+    for ell in range(m[0] + 1):
+        coef = gauss_binom_pascal(m[0], ell) * gauss_binom_pascal(m[1] + m[2] + 1, m[1] - ell)
+        if not coef.is_zero():
+            rhs = rhs + (coef * F(CyclicParams((ell,) + m[2:], n, a, b - 1, unsafe))).shift(ell * ell + ell)
+    return poly == rhs
+
+
 def f_scan_rows(r, s, param_max, m_min, a_values, b_values, unsafe, checks) -> list[tuple]:
     """The rows of `scan F`, as scan_report_json takes them, decided one
-    instance at a time: F at each instance, and each check through the
-    package's single-instance entries, reciprocity_check(...).passed,
-    deletion_check(...).passed, value_at_one_reference and delta.  A check
-    that raises NotDivisible or InvalidRange fails; deletion is skipped
-    where r < 3 or b < 2.  a_values or b_values None means the window;
-    repeated values count once.  Raises InvalidRange for an invalid (a, b)."""
+    instance at a time: F at each instance, value_at_one_reference and
+    delta, and the reciprocity and deletion identities decided here, from F
+    at the instance's dual and sub-instances (_reciprocal and
+    _deletion_holds), not through the package's checks.  A check that
+    raises NotDivisible or InvalidRange fails; deletion is skipped where
+    r < 3 or b < 2.  a_values or b_values None means the window; repeated
+    values count once.  Raises InvalidRange for an invalid (a, b)."""
     a_values = range(s + 1) if a_values is None else dict.fromkeys(a_values)
     b_values = range(1, r + 1) if b_values is None else dict.fromkeys(b_values)
     rows = []
@@ -237,9 +257,9 @@ def f_scan_rows(r, s, param_max, m_min, a_values, b_values, unsafe, checks) -> l
                     elif check == "degree-bound":
                         ok = poly is not None and (poly.degree is None or poly.degree <= delta(m, n))
                     elif check == "reciprocity":
-                        ok = reciprocity_check(params).passed
+                        ok = _reciprocal(poly, params)
                     else:
-                        ok = None if r < 3 or b < 2 else deletion_check(params).passed
+                        ok = None if r < 3 or b < 2 else _deletion_holds(poly, params)
                 except (NotDivisible, InvalidRange):
                     ok = False
                 if ok is not None:

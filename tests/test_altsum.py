@@ -315,14 +315,14 @@ class TestReciprocity:
         assert poly.reverse_to_degree(bound) == poly
         assert reciprocity_check(params).passed
 
-    def test_failure_carries_the_exact_difference(self, monkeypatch):
-        # F perturbed at the duals only: the difference is the reversed dual
-        # minus F, as a polynomial; F's zero constant terms at a = 0 pass
-        body = altsum.F
+    def test_failure_carries_the_exact_difference(self, monkeypatch, tmp_path):
+        # F perturbed at the duals only, through the term-table evaluation:
+        # the difference is the reversed dual minus F, as a polynomial; F's
+        # zero constant terms at a = 0 pass
         grid = [CyclicParams(m, n, a, b) for m, n, a, b in [
             ((1, 2), (2, 1), 0, 1), ((1, 1), (1, 1), 1, 2), ((2, 1, 1), (1, 1), 0, 3), ((1, 2), (2, 2), 2, 1),
         ]]
-        assert body(grid[0]).coeffs[:2] == (0, 0)
+        assert F(grid[0]).coeffs[:2] == (0, 0)
         for params in grid:
             assert reciprocity_check(params).passed
             assert reciprocity_check(params).difference == ZERO
@@ -330,16 +330,27 @@ class TestReciprocity:
             for params in [CyclicParams(m, n, a, 1) for m, n, a in [((1, 2, 1), (2, 1), 0), ((1, 1, 2), (1, 1), 2)]]:
                 dual = CyclicParams(params.m, params.n, params.s - params.a, params.r)
 
-                def perturbed(p, extra=extra, dual=dual):
-                    return body(p) + extra if p == dual else body(p)
+                def perturbed(evaluate, m, n, a, b, extra=extra, dual=dual):
+                    return evaluate() + extra if (m, n, a, b) == dual[:4] else evaluate()
 
-                monkeypatch.setattr(altsum, "F", perturbed)
-                result = reciprocity_check(params)
-                monkeypatch.setattr(altsum, "F", body)
+                with pytest.MonkeyPatch.context() as patch:
+                    _around_each_evaluation(patch, perturbed)
+                    result = reciprocity_check(params)
                 bound = delta(params.m, params.n)
                 expected = (F(dual) + extra).reverse_to_degree(bound) - F(params)
                 assert not result.passed
                 assert result.difference == expected != ZERO
+        # in a scan of --a 0 --b 1 the dual (2, 3) is not among the block's
+        # points, so it is evaluated through F, and only its instance fails
+        dual = ((1, 2, 1), (2, 1), 2, 3)
+        _around_each_evaluation(monkeypatch,
+                                lambda evaluate, *key: evaluate() + IntPoly([1]) if key == dual else evaluate())
+        out = tmp_path / "report.jsonl"
+        argv = ["scan", "F", "--r", "3", "--s", "2", "--param-max", "2", "--a", "0", "--b", "1",
+                "--checks", "reciprocity", "--out", str(out)]
+        assert main(argv) == 1
+        failed = [row["params"] for row in map(json.loads, out.read_text().splitlines()) if row["checks_failed"]]
+        assert failed == [{"m": [1, 2, 1], "n": [2, 1], "a": 0, "b": 1}]
 
     def test_degree_past_the_bound_fails(self, monkeypatch, tmp_path):
         # F at (1, 2) is F at its dual (1, 1) reversed at delta = 5, with both

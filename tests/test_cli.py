@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -338,6 +339,103 @@ class TestScan:
         assert failed == {(0, 2): ["reciprocity", "deletion"], (2, 2): ["reciprocity"]}
 
 
+class TestVerifyContract:
+    """`verify reciprocity` and `verify deletion` through main: exit code,
+    stdout and stderr, and the term-table evaluations each call makes.  The
+    reciprocity instance's dual (s-a, r-b+1) is DUAL; SUB is the deletion
+    instance's sub-instance at ell = 0."""
+
+    RECIPROCITY = CyclicParams((1, 2, 1), (2, 1), 0, 1)
+    DUAL = CyclicParams((1, 2, 1), (2, 1), 2, 3)
+    DELETION = CyclicParams((1, 1, 1), (1, 1), 1, 2)
+    SUB = CyclicParams((0, 1), (1, 1), 1, 1)
+
+    @staticmethod
+    def _run(identity, params, capsys, unsafe=False):
+        argv = ["verify", identity, "--m", ",".join(map(str, params.m)), "--n", ",".join(map(str, params.n)),
+                "--a", str(params.a), "--b", str(params.b), *(["--unsafe-params"] if unsafe else [])]
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _line(verdict, identity, params):
+        return (f'{verdict} {identity} {{"a": {params.a}, "b": {params.b}, "m": {json.dumps(list(params.m))}, '
+                f'"n": {json.dumps(list(params.n))}}}\n')
+
+    @pytest.mark.parametrize("identity", ["reciprocity", "deletion"])
+    def test_pass(self, identity, monkeypatch, capsys):
+        params = self.RECIPROCITY if identity == "reciprocity" else self.DELETION
+        altsum._polynomial_points.cache_clear()
+        evaluations = _around_evaluations(monkeypatch, lambda key, evaluate: evaluate())
+        assert self._run(identity, params, capsys) == (0, self._line("PASS", identity, params), "")
+        assert evaluations[params[:4]] == 1 and set(evaluations.values()) == {1}
+        if identity == "reciprocity":
+            assert evaluations[self.DUAL[:4]] == 1
+
+    def test_fail_from_a_perturbed_dual(self, monkeypatch, capsys):
+        # F at the dual plus q, reversed at delta = 11, is F plus q^10
+        assert altsum.delta(self.RECIPROCITY.m, self.RECIPROCITY.n) == 11
+        dual = self.DUAL[:4]
+        _around_evaluations(monkeypatch, lambda key, evaluate: evaluate() + IntPoly((0, 1)) if key == dual
+                            else evaluate())
+        expected = self._line("FAIL", "reciprocity", self.RECIPROCITY) + "difference: q^10\n"
+        assert self._run("reciprocity", self.RECIPROCITY, capsys) == (1, expected, "")
+
+    def test_fail_from_a_failed_kernel(self, monkeypatch, capsys):
+        # the sub-instance at ell = 0, plus 1, enters the sum with the
+        # coefficient [m1, 0] [m2+m3+1, m2] = [3, 1] = 1 + q + q^2
+        monkeypatch.setattr(altsum, "_kernels_hold", lambda *key: False)
+        sub = self.SUB[:4]
+        _around_evaluations(monkeypatch, lambda key, evaluate: evaluate() + IntPoly((1,)) if key == sub
+                            else evaluate())
+        expected = self._line("FAIL", "deletion", self.DELETION) + "difference: -1 - q - q^2\n"
+        assert self._run("deletion", self.DELETION, capsys) == (1, expected, "")
+
+    @pytest.mark.parametrize("identity,params,message", [
+        ("reciprocity", CyclicParams((1, 1), (1, 1), 9, 1, True),
+         "the reciprocity dual (s-a, r-b+1) = (-7, 2) of a=9, b=1 is out of range"),
+        ("deletion", CyclicParams((1, 1), (1, 1), 0, 2),
+         "deletion_check requires r >= 3 and 2 <= b <= r, got r=2, b=2"),
+        ("deletion", CyclicParams((1, 1, 1), (1, 1), 0, 1),
+         "deletion_check requires r >= 3 and 2 <= b <= r, got r=3, b=1"),
+    ])
+    def test_invalid_input_evaluates_nothing(self, identity, params, message, monkeypatch, capsys):
+        evaluations = _around_evaluations(monkeypatch, lambda key, evaluate: evaluate())
+        assert self._run(identity, params, capsys, params.unsafe) == (2, "", f"invalid input: {message}\n")
+        assert not evaluations
+
+    @pytest.mark.parametrize("identity,bad,named", [
+        ("reciprocity", ["RECIPROCITY"], "RECIPROCITY"),
+        ("reciprocity", ["DUAL"], "DUAL"),
+        ("reciprocity", ["DUAL", "RECIPROCITY"], "RECIPROCITY"),
+        ("deletion", ["DELETION"], "DELETION"),
+        ("deletion", ["SUB"], "SUB"),
+        ("deletion", ["SUB", "DELETION"], "DELETION"),
+    ])
+    def test_divisibility_failure(self, identity, bad, named, monkeypatch, capsys):
+        # the instance's failure is raised before the dual's or a
+        # sub-instance's, each failing point is evaluated once per call, and
+        # in a scan, with the dual in and out of the scanned points, the
+        # instance's row fails the check
+        params, named = getattr(self, identity.upper()), getattr(self, named)[:4]
+        bad = [getattr(self, point) for point in bad]
+        altsum._polynomial_points.cache_clear()
+        for _ in range(2):
+            with pytest.MonkeyPatch.context() as patch:
+                evaluations = _fail_evaluation_at(patch, *bad)
+                err = f"divisibility failure: F at {named}: exact division failed, remainder 1\n"
+                assert self._run(identity, params, capsys) == (3, "", err)
+            assert evaluations[params[:4]] == evaluations[named] == 1
+        _fail_evaluation_at(monkeypatch, *bad)
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
+        for grid in (["--a", str(params.a), "--b", str(params.b)], []):
+            assert main(["scan", "F", "--r", "3", "--s", "2", "--param-max", "2", *grid, "--checks", identity]) == 1
+            [row] = [row for row in map(json.loads, capsys.readouterr().out.splitlines())
+                     if row["params"] == {"m": list(params.m), "n": list(params.n), "a": params.a, "b": params.b}]
+            assert row["checks_failed"] == [identity]
+
+
 F_ALL = "positivity,reciprocity,degree-bound,deletion,q1-specialization"
 # Scans whose reports must not depend on the number of workers: A, B and C
 # with --max-sum <= 8, and F with r, s <= 3 and --param-max <= 2, in and out
@@ -473,20 +571,37 @@ class TestWorkers:
         _no_child_left()
 
 
-def _fail_evaluation_at(monkeypatch, bad):
-    """Make the term table of bad's (m, n) raise NotDivisible at bad's (a, b)."""
-    term_table = altsum._term_table
+def _around_evaluations(monkeypatch, around):
+    """Make every term-table evaluation at (m, n, a, b) return
+    around((m, n, a, b), evaluate), where evaluate() returns its value, and
+    return a Counter of the evaluations, keyed by (m, n, a, b)."""
+    term_table, evaluations = altsum._term_table, Counter()
 
-    class FailingAtBad:
+    class Observed:
         def __init__(self, m, n):
-            self.table, self.bad = term_table(m, n), (m, n) == bad[:2]
+            self.table, self.m, self.n = term_table(m, n), m, n
 
         def evaluate(self, a, b):
-            if self.bad and (a, b) == bad[2:4]:
-                raise NotDivisible(IntPoly((1,)))
-            return self.table.evaluate(a, b)
+            key = (self.m, self.n, a, b)
+            evaluations[key] += 1
+            return around(key, lambda: self.table.evaluate(a, b))
 
-    monkeypatch.setattr(altsum, "_term_table", FailingAtBad)
+    monkeypatch.setattr(altsum, "_term_table", Observed)
+    return evaluations
+
+
+def _fail_evaluation_at(monkeypatch, *bad):
+    """Make the term table of each bad instance's (m, n) raise NotDivisible
+    at its (a, b), with a message naming it, and return the Counter of
+    _around_evaluations."""
+    failing = {tuple(point[:4]) for point in bad}
+
+    def around(key, evaluate):
+        if key in failing:
+            raise NotDivisible(IntPoly((1,)), f"F at {key}")
+        return evaluate()
+
+    return _around_evaluations(monkeypatch, around)
 
 
 @st.composite
