@@ -3,7 +3,6 @@ for Gaussian coefficients, super Catalan families, and alternating sums."""
 
 from .qpoly import DegreeExceedsBound, IntPoly, NotDivisible, ONE, Q, ZERO
 from .qcombinat import (
-    IdentityCheckResult,
     InvalidRange,
     NegativeIndex,
     choose2,
@@ -67,5 +66,4 @@ __all__ = [
     "deletion_check",
     "deletion_kernel_check",
     "recombine_check",
-    "IdentityCheckResult",
 ]

@@ -48,7 +48,9 @@ same methods on a block of the instance's one or two points.
 The module also provides executable checks for the reciprocity relation
 under q -> 1/q, the q-Chu-Vandermonde product identity, the deletion
 recurrence that removes two adjacent m-parameters, and the cyclic-product
-recombination step that recurrence relies on.
+recombination step that recurrence relies on.  Each check returns its
+difference LHS - RHS, an IntPoly that is ZERO exactly when the identity
+holds.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from math import comb, prod
 from operator import add
 from typing import Iterable
 
-from .qcombinat import Division, IdentityCheckResult, InvalidRange, choose2, cyclotomic_split, gauss_binom
+from .qcombinat import Division, InvalidRange, choose2, cyclotomic_split, gauss_binom
 from .qcombinat import q_poch, q_ratio, ratio_at_one
 from .qpoly import IntPoly, NotDivisible, ZERO, pack, packed_quotient, product, product_sum, shifted_sum, slot_width
 
@@ -209,7 +211,7 @@ def _polynomial_points(m: tuple[int, ...], n: tuple[int, ...]) -> set[tuple[int,
 @lru_cache(maxsize=1024)
 def _kernels_hold(m1: int, m2: int, m3: int, mr: int, k: int) -> bool:
     """Whether the deletion kernel holds at k."""
-    return deletion_kernel_check(m1, m2, m3, mr, k).passed
+    return not deletion_kernel_check(m1, m2, m3, mr, k)
 
 
 def delta(m: tuple[int, ...], n: tuple[int, ...]) -> int:
@@ -264,14 +266,15 @@ def _reciprocity_dual(params: CyclicParams) -> CyclicParams:
         ) from None
 
 
-def reciprocity_check(params: CyclicParams) -> IdentityCheckResult:
-    """Block.reciprocity at params, from a block of params and its dual;
-    an out-of-range dual raises InvalidRange before anything is evaluated."""
+def reciprocity_check(params: CyclicParams) -> IntPoly:
+    """Block.reciprocity at params, from a block of params and its dual: the
+    reversed dual minus F, ZERO exactly when the relation holds.  An
+    out-of-range dual raises InvalidRange before anything is evaluated."""
     dual = _reciprocity_dual(params)
     return Block(params.m, params.n, dict.fromkeys([params[2:4], dual[2:4]])).reciprocity(params)
 
 
-def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
+def product_identity_check(m1: int, m2: int, k: int) -> IntPoly:
     """Check the expansion of gauss_binom(m1+m2+1, m1+k)*gauss_binom(m1+m2+1, m2+k)
     as a sum over t of the q-multinomials
     [m1+m2+1]!/([t]![t+2k-1]![m1-k-t+1]![m2-k-t+1]!), which vanish when an
@@ -285,12 +288,10 @@ def product_identity_check(m1: int, m2: int, k: int) -> IdentityCheckResult:
         (t * (t + 2 * k - 1), q_ratio((m1 + m2 + 1,), (t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1)))
         for t in range(max(0, 1 - 2 * k), min(m1, m2) - k + 2)
     )
-    diff = lhs - rhs
-    info = {"m1": m1, "m2": m2, "k": k}
-    return IdentityCheckResult("product", info, diff.is_zero(), diff)
+    return lhs - rhs
 
 
-def deletion_kernel_check(m1: int, m2: int, m3: int, mr: int, k: int) -> IdentityCheckResult:
+def deletion_kernel_check(m1: int, m2: int, m3: int, mr: int, k: int) -> IntPoly:
     """Check the kernel of the deletion recurrence at k, with [N, K] =
     gauss_binom(N, K) and mr = m_r (m3 when r = 3):
 
@@ -308,12 +309,10 @@ def deletion_kernel_check(m1: int, m2: int, m3: int, mr: int, k: int) -> Identit
                            gauss_binom(ell + m3 + 1, ell + k), gauss_binom(mr + ell + 1, mr + k)])
         for ell in range(min(m1, m2) + 1)
     )
-    diff = lhs - rhs
-    info = {"m1": m1, "m2": m2, "m3": m3, "mr": mr, "k": k}
-    return IdentityCheckResult("deletion-kernel", info, diff.is_zero(), diff)
+    return lhs - rhs
 
 
-def deletion_check(params: CyclicParams) -> IdentityCheckResult:
+def deletion_check(params: CyclicParams) -> IntPoly:
     """Check the recurrence deleting m_1, m_2: F at (r, b) equals the sum over
     0 <= ell <= m_1 of q^{ell^2+ell} C_ell, C_ell = gauss_binom(m1, ell)
     gauss_binom(m2+m3+1, m2-ell), times F at (r-1, b-1) with m-vector
@@ -328,8 +327,8 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     right.  Since [m1, ell] [ell]! [m1+m_r+1]! / ([m1]! [ell+m_r+1]!) =
     [m1+m_r+1, m1-ell], what is left is deletion_kernel_check at
     (m1, m2, m3, m_r, k).  So when the kernel holds at every k and every F
-    involved is a polynomial, the two sides are equal, and the check passes
-    with a zero difference.  Block.deletion decides it, from a block of the
+    involved is a polynomial, the two sides are equal, and the check returns
+    the difference ZERO.  Block.deletion decides it, from a block of the
     instance; r < 3 or b < 2 raises InvalidRange before anything is
     evaluated."""
     if params.r < 3 or params.b < 2:
@@ -339,18 +338,17 @@ def deletion_check(params: CyclicParams) -> IdentityCheckResult:
     return Block(params.m, params.n, [params[2:4]]).deletion(params)
 
 
-def _deletion_check(params: CyclicParams) -> IdentityCheckResult:
-    """The deletion check the summed way: lhs - rhs, the sum built by product_sum."""
+def _deletion_check(params: CyclicParams, lhs: IntPoly) -> IntPoly:
+    """The deletion check the summed way: lhs, F at params, minus the sum
+    built by product_sum."""
     m, n, a, b = params.m, params.n, params.a, params.b
     m1, m2, m3 = m[:3]
-    lhs = F(params)
     rhs = product_sum(  # gauss_binom(m2+m3+1, m2-ell) vanishes for ell > m2
         (ell * ell + ell, [gauss_binom(m1, ell), gauss_binom(m2 + m3 + 1, m2 - ell),
                            _term_table((ell,) + m[2:], n).evaluate(a, b - 1)])
         for ell in range(min(m1, m2) + 1)
     )
-    diff = lhs - rhs
-    return IdentityCheckResult("deletion", {"m": m, "n": n, "a": a, "b": b}, diff.is_zero(), diff)
+    return lhs - rhs
 
 
 class Block:
@@ -362,7 +360,8 @@ class Block:
     raises; so a block holds at most len(points) polynomials.  The q = 1
     value, delta, the deletion kernels' verdict and the deletion
     sub-instance tables do not depend on (a, b), and each is looked up
-    once, when first asked for."""
+    once, when first asked for.  A check returns its difference, ZERO
+    exactly when it passes."""
 
     def __init__(self, m: tuple[int, ...], n: tuple[int, ...], points: Iterable[tuple[int, int]]) -> None:
         self.m, self.n = m, n
@@ -399,13 +398,14 @@ class Block:
         subs = [(ell,) + self.m[2:] for ell in range(min(self.m[:2]) + 1)]
         return [(sub, _polynomial_points(sub, self.n)) for sub in subs]
 
-    def reciprocity(self, params: CyclicParams) -> IdentityCheckResult:
+    def reciprocity(self, params: CyclicParams) -> IntPoly:
         """Check that reversing F(s-a, r-b+1) at degree delta(m, n) recovers
         F(a, b), together with the degree bound making the reversal
         lossless; (a, b) is one of the block's points.  The dual's value
         comes from the block when the dual is among its points, and
         otherwise from F.  The instance's NotDivisible is raised before the
-        dual's; the difference is built only when the check fails."""
+        dual's.  It returns the reversed dual minus F(a, b), which is built
+        only when the check fails."""
         point, dual = params[2:4], (params.s - params.a, params.r - params.b + 1)
         p = self.values[point]
         if p is None:
@@ -415,38 +415,38 @@ class Block:
             raise self.failures[dual]
         bound = self.delta
         pad = bound + 1 - len(q.coeffs)
-        info = {"m": params.m, "n": params.n, "a": params.a, "b": params.b}
         if pad >= 0 and p.coeffs + (0,) * (bound + 1 - len(p.coeffs)) == (0,) * pad + q.coeffs[::-1]:
-            return IdentityCheckResult("reciprocity", info, True, ZERO)
+            return ZERO
         # past the bound the difference is q
-        return IdentityCheckResult("reciprocity", info, False, q if pad < 0 else q.reverse_to_degree(bound) - p)
+        return q if pad < 0 else q.reverse_to_degree(bound) - p
 
-    def deletion(self, params: CyclicParams) -> IdentityCheckResult | None:
+    def deletion(self, params: CyclicParams) -> IntPoly | None:
         """deletion_check at params, one of the block's points, or None
         where the recurrence is undefined (r < 3 or b < 2).  When the
         kernels hold, F at each sub-instance is evaluated once per
-        (m', n, a, b-1) and only the verdict is kept; the instance's
-        NotDivisible is raised before a sub-instance's, which is raised anew
-        on every call.  When a kernel fails, the summed route
-        (_deletion_check) computes the difference, evaluating the instance
-        again."""
+        (m', n, a, b-1), only the verdict is kept, and the difference is
+        ZERO; the instance's NotDivisible is raised before a sub-instance's,
+        which is raised anew on every call.  When a kernel fails, the summed
+        route (_deletion_check) computes the difference from the block's
+        value at the instance."""
         if params.r < 3 or params.b < 2:
             return None
-        if self.values[params[2:4]] is None:
+        value = self.values[params[2:4]]
+        if value is None:
             raise self.failures[params[2:4]]
         if not self.kernels:
-            return _deletion_check(params)
+            return _deletion_check(params, value)
         point = (params.a, params.b - 1)
         for sub, passed in self.subs:
             if point not in passed:
                 _term_table(sub, self.n).evaluate(*point)
                 passed.add(point)
-        return IdentityCheckResult("deletion", {"m": self.m, "n": self.n, "a": params.a, "b": params.b}, True, ZERO)
+        return ZERO
 
 
 def recombine_check(
     m: tuple[int, ...], n: tuple[int, ...], ell: int, k: int
-) -> IdentityCheckResult:
+) -> IntPoly:
     """Check, after clearing denominators, that the cyclic product over
     (m3, ..., m_r) relates to the one over (ell, m3, ..., m_r) through the
     stated ratio of Pochhammer symbols.
@@ -472,6 +472,4 @@ def recombine_check(
         right = ZERO
     else:
         right = product([cyclic_product((ell,) + tail, n, k), *map(q_poch, idxs)])
-    diff = left - right
-    info = {"m": m, "n": n, "ell": ell, "k": k}
-    return IdentityCheckResult("recombine", info, diff.is_zero(), diff)
+    return left - right

@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Callable, Iterator
 
-from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex, gauss_binom, q_ratio, ratio_at_one
+from .qcombinat import InvalidRange, NegativeIndex, gauss_binom, q_ratio, ratio_at_one
 from .qpoly import IntPoly, NotDivisible, product_sum, shifted_sum
 
 
@@ -153,8 +153,9 @@ def _inner(N: int, h: int, k: int) -> IntPoly:
 _sub_value = lru_cache(maxsize=1024)(odd_super_catalan_recursive)
 
 
-def double_expansion_check(N: int, h: int) -> IdentityCheckResult:
-    """Check the double-sum expansion of gauss_binom(2N+2h, h-1).
+def double_expansion_check(N: int, h: int) -> IntPoly:
+    """Check the double-sum expansion of gauss_binom(2N+2h, h-1): LHS - RHS,
+    which is ZERO exactly when it holds.
 
     The right-hand side sums q^{k(N+k+1)+j(N+j+1)} times a product of three
     Gaussian coefficients over 0 <= k <= (h-1)/2, k <= j <= h-k-1.
@@ -170,5 +171,4 @@ def double_expansion_check(N: int, h: int) -> IdentityCheckResult:
         for k in range((h - 1) // 2 + 1)
         for j in range(k, h - k)
     )
-    diff = lhs - rhs
-    return IdentityCheckResult("double-expansion", {"N": N, "h": h}, diff.is_zero(), diff)
+    return lhs - rhs

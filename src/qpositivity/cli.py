@@ -43,7 +43,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import altsum, catalan
 from .altsum import CyclicParams
-from .qcombinat import IdentityCheckResult, InvalidRange, NegativeIndex
+from .qcombinat import InvalidRange, NegativeIndex
 from .qpoly import IntPoly, NotDivisible
 
 EXIT_PASS = 0
@@ -89,16 +89,17 @@ def _degree_bound(family: str, row: _Row) -> bool:
     return poly is not None and (poly.degree is None or poly.degree <= row.block.delta)
 
 
-def _block_check(check: Callable[[altsum.Block, CyclicParams], IdentityCheckResult | None]
+def _block_check(check: Callable[[altsum.Block, CyclicParams], IntPoly | None]
                  ) -> Callable[[str, _Row], bool | None]:
     """The verdict of an F check that the row's block decides, one of its
-    methods: a NotDivisible or InvalidRange fails it, and None skips it."""
+    methods: it passes when the difference it returns is zero, a
+    NotDivisible or InvalidRange fails it, and None skips it."""
     def verdict(family: str, row: _Row) -> bool | None:
         try:
-            result = check(row.block, row.params)
+            difference = check(row.block, row.params)
         except (NotDivisible, InvalidRange):
             return False
-        return None if result is None else result.passed
+        return None if difference is None else not difference
 
     return verdict
 
@@ -120,8 +121,8 @@ def _cyclic(args: argparse.Namespace) -> CyclicParams:
     return CyclicParams(args.m, args.n, args.a, args.b, args.unsafe_params)
 
 
-# identity -> (flags it needs, its check)
-_IDENTITIES: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], IdentityCheckResult]]] = {
+# identity -> (flags it needs, its check, which returns LHS - RHS)
+_IDENTITIES: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], IntPoly]]] = {
     "double-expansion": (("N", "h"), lambda args: catalan.double_expansion_check(args.N, args.h)),
     "reciprocity": (("m", "n", "a", "b"), lambda args: altsum.reciprocity_check(_cyclic(args))),
     "product": (("m1", "m2", "k"), lambda args: altsum.product_identity_check(args.m1, args.m2, args.k)),
@@ -206,12 +207,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     flags, check = _IDENTITIES[args.identity]
     _require(args, *flags)
-    result = check(args)
-    verdict = "PASS" if result.passed else "FAIL"
-    print(f"{verdict} {result.identity} {json.dumps(result.params, sort_keys=True, default=list)}")
-    if result.passed:
+    difference = check(args)
+    params = {flag: getattr(args, flag) for flag in flags}
+    print(f"{'FAIL' if difference else 'PASS'} {args.identity} {json.dumps(params, sort_keys=True)}")
+    if not difference:
         return EXIT_PASS
-    print(f"difference: {result.difference}")
+    print(f"difference: {difference}")
     return EXIT_FAIL
 
 

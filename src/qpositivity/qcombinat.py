@@ -21,7 +21,6 @@ from functools import lru_cache
 from itertools import repeat
 from math import factorial, prod
 from operator import add, floordiv, sub
-from typing import Any, NamedTuple
 
 from .qpoly import IntPoly, NotDivisible, ONE, ZERO, product
 
@@ -32,19 +31,6 @@ class NegativeIndex(Exception):
 
 class InvalidRange(Exception):
     """Parameters outside an operation's stated domain."""
-
-
-class IdentityCheckResult(NamedTuple):
-    """Outcome of verifying a named identity at one parameter point.
-
-    `difference` is the polynomial LHS - RHS; it is zero exactly when the
-    check passed.
-    """
-
-    identity: str
-    params: dict[str, Any]
-    passed: bool
-    difference: IntPoly
 
 
 def q_int(n: int) -> IntPoly:

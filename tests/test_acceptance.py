@@ -68,7 +68,7 @@ def test_criterion_3_double_expansion():
         (N, h)
         for N in range(9)
         for h in range(1, 9)
-        if not double_expansion_check(N, h).passed
+        if not double_expansion_check(N, h).is_zero()
     ]
     _verdict("criterion-3 double-expansion identity, N <= 8, h <= 8", not failures)
 
@@ -101,7 +101,7 @@ def test_criterion_5_degree_bound_and_reciprocity():
         bound = delta(params.m, params.n)
         if poly.degree is not None and poly.degree > bound:
             failures.append(("degree", params))
-        if not reciprocity_check(params).passed:
+        if not reciprocity_check(params).is_zero():
             failures.append(("reciprocity", params))
     _verdict("criterion-5 degree bound and reciprocity on the criterion-4 grid", not failures)
 
@@ -112,7 +112,7 @@ def test_criterion_6_product_identity():
         for m1 in range(6)
         for m2 in range(6)
         for k in range(-3, 8)
-        if not product_identity_check(m1, m2, k).passed
+        if not product_identity_check(m1, m2, k).is_zero()
     ]
     _verdict("criterion-6 product identity, m1,m2 <= 5, -3 <= k <= 7", not failures)
 
@@ -125,7 +125,7 @@ def test_criterion_7_deletion_recurrence():
                 for a in range(3):
                     for b in range(2, r + 1):
                         params = CyclicParams(m, n, a, b)
-                        if not deletion_check(params).passed:
+                        if not deletion_check(params).is_zero():
                             failures.append(params)
     _verdict("criterion-7 deletion recurrence, r in {3,4}, s = 2", not failures)
 

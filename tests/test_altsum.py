@@ -141,7 +141,7 @@ class TestCyclicParams:
 
         monkeypatch.setattr(CyclicParams, "__new__", counted)
         for p in params:
-            assert reciprocity_check(p).passed and deletion_check(p).passed
+            assert reciprocity_check(p).is_zero() and deletion_check(p).is_zero()
         assert validated == []
 
     def test_unsafe_dual_is_validated(self):
@@ -304,7 +304,7 @@ class TestReciprocity:
         [((1, 1), (1, 1), 1, 2), ((2, 1, 1), (1, 1), 0, 3), ((1, 2), (2, 2), 2, 1)],
     )
     def test_examples(self, m, n, a, b):
-        assert reciprocity_check(CyclicParams(m, n, a, b)).passed
+        assert reciprocity_check(CyclicParams(m, n, a, b)).is_zero()
 
     def test_self_dual_point_is_palindromic(self):
         # r = 3, b = 2 and s = 2, a = 1 are their own duals, forcing a
@@ -313,7 +313,7 @@ class TestReciprocity:
         poly = F(params)
         bound = delta(params.m, params.n)
         assert poly.reverse_to_degree(bound) == poly
-        assert reciprocity_check(params).passed
+        assert reciprocity_check(params).is_zero()
 
     def test_failure_carries_the_exact_difference(self, monkeypatch, tmp_path):
         # F perturbed at the duals only, through the term-table evaluation:
@@ -324,8 +324,7 @@ class TestReciprocity:
         ]]
         assert F(grid[0]).coeffs[:2] == (0, 0)
         for params in grid:
-            assert reciprocity_check(params).passed
-            assert reciprocity_check(params).difference == ZERO
+            assert reciprocity_check(params) == ZERO
         for extra in (IntPoly([1]), IntPoly([0, -(2**70)]), IntPoly([0] * 5 + [3])):
             for params in [CyclicParams(m, n, a, 1) for m, n, a in [((1, 2, 1), (2, 1), 0), ((1, 1, 2), (1, 1), 2)]]:
                 dual = CyclicParams(params.m, params.n, params.s - params.a, params.r)
@@ -338,8 +337,8 @@ class TestReciprocity:
                     result = reciprocity_check(params)
                 bound = delta(params.m, params.n)
                 expected = (F(dual) + extra).reverse_to_degree(bound) - F(params)
-                assert not result.passed
-                assert result.difference == expected != ZERO
+                assert not result.is_zero()
+                assert result == expected != ZERO
         # in a scan of --a 0 --b 1 the dual (2, 3) is not among the block's
         # points, so it is evaluated through F, and only its instance fails
         dual = ((1, 2, 1), (2, 1), 2, 3)
@@ -360,10 +359,9 @@ class TestReciprocity:
         params = CyclicParams((1, 1), (1, 1), 1, 2)
         dual = F(CyclicParams((1, 1), (1, 1), 1, 1))
         assert F(params).degree == dual.degree == delta(params.m, params.n) == 5
-        assert reciprocity_check(params).passed
+        assert reciprocity_check(params).is_zero()
         monkeypatch.setattr(altsum, "delta", lambda m, n: 4)
-        assert reciprocity_check(params) == qcombinat.IdentityCheckResult(
-            "reciprocity", {"m": (1, 1), "n": (1, 1), "a": 1, "b": 2}, False, dual)
+        assert reciprocity_check(params) == dual
         out = tmp_path / "report.jsonl"
         argv = ["scan", "F", "--r", "2", "--s", "2", "--param-max", "1", "--a", "1", "--b", "1,2",
                 "--checks", "reciprocity", "--out", str(out)]
@@ -374,12 +372,12 @@ class TestReciprocity:
 class TestProductIdentity:
     def test_both_sides_vanish_for_large_k(self):
         result = product_identity_check(1, 1, 4)
-        assert result.passed
+        assert result.is_zero()
         assert gauss_binom(3, 5) == ZERO
 
     @pytest.mark.parametrize("m1,m2,k", [(1, 1, 0), (2, 1, -1), (3, 2, 2), (0, 4, -2)])
     def test_examples(self, m1, m2, k):
-        assert product_identity_check(m1, m2, k).passed
+        assert product_identity_check(m1, m2, k).is_zero()
 
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
@@ -396,12 +394,12 @@ class TestProductIdentity:
         monkeypatch.setattr(altsum, "q_ratio", counted)
         for m1, m2, k in product(range(4), range(4), range(-6, 7)):
             calls.clear()
-            assert product_identity_check(m1, m2, k).passed
+            assert product_identity_check(m1, m2, k).is_zero()
             # one q-multinomial for each t whose denominator indices are all >= 0
             dens = [(t, t + 2 * k - 1, m1 - k - t + 1, m2 - k - t + 1) for t in range(m1 + abs(k) + 2)]
             assert calls == [den for den in dens if min(den) >= 0]
         calls.clear()
-        assert product_identity_check(1, 1, -100_000_000).passed
+        assert product_identity_check(1, 1, -100_000_000).is_zero()
         assert calls == []
 
 
@@ -409,7 +407,7 @@ class TestDeletion:
     def test_m1_zero_single_term(self):
         params = CyclicParams((0, 2, 1), (1, 1), 1, 2)
         result = deletion_check(params)
-        assert result.passed
+        assert result.is_zero()
         expected = gauss_binom(2 + 1 + 1, 2) * F(CyclicParams((0, 1), (1, 1), 1, 1))
         assert F(params) == expected
 
@@ -418,7 +416,7 @@ class TestDeletion:
         [((1, 1, 1), (1, 1), 1, 2), ((1, 2, 1), (1, 1), 0, 3), ((2, 1, 1, 2), (2, 1), 2, 4)],
     )
     def test_examples(self, m, n, a, b):
-        assert deletion_check(CyclicParams(m, n, a, b)).passed
+        assert deletion_check(CyclicParams(m, n, a, b)).is_zero()
 
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
@@ -431,10 +429,8 @@ class TestDeletion:
     def test_kernel_against_pascal_oracle(self, ms, k):
         m1, m2, m3, mr = ms
         result = deletion_kernel_check(m1, m2, m3, mr, k)
-        assert result.difference == _kernel_difference(m1, m2, m3, mr, k, gauss_binom_pascal) == ZERO
-        assert result.passed
-        assert result.identity == "deletion-kernel"
-        assert result.params == {"m1": m1, "m2": m2, "m3": m3, "mr": mr, "k": k}
+        assert result == _kernel_difference(m1, m2, m3, mr, k, gauss_binom_pascal) == ZERO
+        assert result.is_zero()
 
     def test_kernel_failure_carries_the_difference(self, monkeypatch):
         # [4, 1] or [5, 2] times q breaks the identity wherever it is a
@@ -448,20 +444,20 @@ class TestDeletion:
             for key in product(range(3), range(3), range(3), range(3), range(-2, 4)):
                 result = deletion_kernel_check(*key)
                 expected = _kernel_difference(*key, lambda N, K: g(N, K, gauss_binom_pascal))
-                assert result.difference == expected
-                assert result.passed == expected.is_zero()
-                failed += not result.passed
+                assert result == expected
+                assert result.is_zero() == expected.is_zero()
+                failed += not result.is_zero()
             assert failed == failures
 
     def test_kernel_edges(self):
         with pytest.raises(InvalidRange):
             deletion_kernel_check(1, 1, -1, 1, 0)
         # both sides vanish far from the window, whatever k(k - 1) is
-        assert deletion_kernel_check(1, 2, 1, 2, -100_000_000).passed
-        assert deletion_kernel_check(1, 2, 1, 2, 100_000_000).passed
+        assert deletion_kernel_check(1, 2, 1, 2, -100_000_000).is_zero()
+        assert deletion_kernel_check(1, 2, 1, 2, 100_000_000).is_zero()
         # both sides vanish at k = 2 through [1, 2], although [21, 12] has
         # coefficients far above one byte: a term with a zero factor is skipped
-        assert deletion_kernel_check(10, 10, 0, 0, 2).passed
+        assert deletion_kernel_check(10, 10, 0, 0, 2).is_zero()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -476,14 +472,14 @@ class TestDeletion:
         expected = deletion_difference(m, n, a, b)
         params = CyclicParams(m, n, a, b, unsafe)
         result = deletion_check(params)
-        assert result.difference == expected
-        assert result.passed == expected.is_zero()
+        assert result == expected
+        assert result.is_zero() == expected.is_zero()
         # a failed kernel verdict sends the same draw to the summed route
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(altsum, "_kernels_hold", lambda *key: False)
             summed = deletion_check(params)
-        assert summed.difference == expected
-        assert summed.passed == expected.is_zero()
+        assert summed == expected
+        assert summed.is_zero() == expected.is_zero()
 
     def test_every_k_is_decided(self, monkeypatch):
         # n1 = 3, but the kernel's left side vanishes for k < -1 and k > 2;
@@ -492,18 +488,31 @@ class TestDeletion:
         params = CyclicParams((1, 1, 1), (3, 1), 1, 2)
         kernel, summed = altsum.deletion_kernel_check, altsum._deletion_check
         assert [k for k in range(-3, 4) if altsum.product([gauss_binom(3, 1 + k)] * 3)] == [-1, 0, 1, 2]
-        monkeypatch.setattr(altsum, "_deletion_check", lambda p: ("summed", p))
+        monkeypatch.setattr(altsum, "_deletion_check", lambda p, lhs: ("summed", p, lhs))
         for bad in range(-3, 4):
             altsum._kernels_hold.cache_clear()
             monkeypatch.setattr(altsum, "deletion_kernel_check",
-                                lambda *key, bad=bad: kernel(*key)._replace(passed=key[-1] != bad))
-            assert deletion_check(params) == ("summed", params)
+                                lambda *key, bad=bad: IntPoly([1]) if key[-1] == bad else kernel(*key))
+            assert deletion_check(params) == ("summed", params, F(params))
         monkeypatch.setattr(altsum, "deletion_kernel_check", kernel)
         monkeypatch.setattr(altsum, "_deletion_check", summed)
         altsum._kernels_hold.cache_clear()
-        assert deletion_check(params) == (
-            qcombinat.IdentityCheckResult("deletion", {"m": (1, 1, 1), "n": (3, 1), "a": 1, "b": 2}, True, ZERO)
-        )
+        assert deletion_check(params) == ZERO
+
+    def test_summed_route_reuses_the_blocks_value(self, monkeypatch, capsys):
+        # a failed kernel sends verify to the summed route, which takes F at
+        # the instance from the block, so the instance is evaluated once
+        evaluations = Counter()
+
+        def counted(evaluate, *key):
+            evaluations[key] += 1
+            return evaluate()
+
+        monkeypatch.setattr(altsum, "_kernels_hold", lambda *key: False)
+        _around_each_evaluation(monkeypatch, counted)
+        assert main(["verify", "deletion", "--m", "1,1,1", "--n", "3,1", "--a", "1", "--b", "2"]) == 0
+        assert capsys.readouterr().out == 'PASS deletion {"a": 1, "b": 2, "m": [1, 1, 1], "n": [3, 1]}\n'
+        assert evaluations[(1, 1, 1), (3, 1), 1, 2] == 1
 
     def test_overlapping_k_ranges_decide_each_kernel_once(self, monkeypatch, capsys):
         # n1 = 1, 3, 2, 3 ask for the kernels of (1, 2, 1, 2) at |k| <= n1;
@@ -525,7 +534,7 @@ class TestDeletion:
         for cache in _altsum_caches():
             cache.cache_clear()
 
-        def forbidden(params):
+        def forbidden(params, lhs):
             raise AssertionError(f"the summed deletion route at {params}")
 
         monkeypatch.setattr(altsum, "_deletion_check", forbidden)
@@ -551,15 +560,14 @@ class TestRecombine:
     def test_both_sides_vanish(self):
         # k beyond every vector entry kills all Gaussian factors.
         result = recombine_check((1, 1, 1), (1, 1), 1, 9)
-        assert result.passed
-        assert result.difference.is_zero()
+        assert result.is_zero()
 
     @pytest.mark.parametrize(
         "m,n,ell,k",
         [((1, 1, 1), (1, 1), 1, 0), ((2, 1, 1), (1, 1), 0, 1), ((1, 2, 2, 1), (1, 2), 2, -1)],
     )
     def test_examples(self, m, n, ell, k):
-        assert recombine_check(m, n, ell, k).passed
+        assert recombine_check(m, n, ell, k).is_zero()
 
     def test_randomized_instances(self):
         rng = random.Random(1729)
@@ -569,7 +577,7 @@ class TestRecombine:
             n = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
             ell = rng.randint(0, 3)
             k = rng.randint(-ell, ell + 1)
-            assert recombine_check(m, n, ell, k).passed
+            assert recombine_check(m, n, ell, k).is_zero()
 
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
@@ -710,8 +718,8 @@ class TestTermTable:
                     sub = F(CyclicParams((ell,) + m[2:], params.n, params.a, params.b - 1, params.unsafe))
                     rhs = rhs + (coef * sub).shift(ell * ell + ell)
             result = deletion_check(params)
-            assert F(params) - result.difference == rhs
-            assert result.passed == (F(params) == rhs)
+            assert F(params) - result == rhs
+            assert result.is_zero() == (F(params) == rhs)
 
     def test_packed_difference_is_the_polynomial_difference(self, monkeypatch):
         # sub-instance values that break the recurrence: shifted, signed and
@@ -746,9 +754,9 @@ class TestTermTable:
                             sub = altsum._term_table((ell,) + m[2:], params.n).evaluate(params.a, params.b - 1)
                             rhs = rhs + (coef * sub).shift(ell * ell + ell)
                     result = deletion_check(params)
-                    assert result.difference == F(params) - rhs
-                    assert result.passed == (F(params) == rhs)
-        assert all(deletion_check(params).passed for params in grid)
+                    assert result == F(params) - rhs
+                    assert result.is_zero() == (F(params) == rhs)
+        assert all(deletion_check(params).is_zero() for params in grid)
 
     def test_sub_instance_failure_is_not_cached(self, monkeypatch):
         # on the summed route, which a failed kernel verdict forces

@@ -220,14 +220,13 @@ class TestInnerSum:
 class TestDoubleExpansion:
     def test_single_term_case(self):
         result = double_expansion_check(0, 1)
-        assert result.passed
+        assert result.is_zero()
         assert gauss_binom(2, 0) == ONE
 
     @pytest.mark.parametrize("N,h", [(1, 2), (3, 4), (0, 5), (5, 1), (2, 7)])
     def test_examples(self, N, h):
         result = double_expansion_check(N, h)
-        assert result.passed
-        assert result.difference.is_zero()
+        assert result.is_zero()
 
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):

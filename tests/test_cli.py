@@ -56,20 +56,26 @@ class TestCompute:
 
 
 class TestVerify:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "double-expansion", "--N", "3", "--h", "4"],
-            ["verify", "reciprocity", "--m", "1,1", "--n", "1,1", "--a", "1", "--b", "2"],
-            ["verify", "deletion", "--m", "1,1,1", "--n", "1,1", "--a", "1", "--b", "2"],
-            ["verify", "product", "--m1", "2", "--m2", "1", "--k", "-1"],
-            ["verify", "recombine", "--m", "1,1,1", "--n", "1,1", "--ell", "1", "--k", "0"],
-            ["verify", "deletion-kernel", "--m1", "1", "--m2", "2", "--m3", "0", "--mr", "3", "--k", "1"],
-        ],
-    )
-    def test_passing(self, argv, capsys):
+    # (argv, its exact stdout), one for each identity
+    PASSING = [
+        (["verify", "double-expansion", "--N", "3", "--h", "4"], 'PASS double-expansion {"N": 3, "h": 4}\n'),
+        (["verify", "reciprocity", "--m", "1,1", "--n", "1,1", "--a", "1", "--b", "2"],
+         'PASS reciprocity {"a": 1, "b": 2, "m": [1, 1], "n": [1, 1]}\n'),
+        (["verify", "deletion", "--m", "1,1,1", "--n", "1,1", "--a", "1", "--b", "2"],
+         'PASS deletion {"a": 1, "b": 2, "m": [1, 1, 1], "n": [1, 1]}\n'),
+        (["verify", "product", "--m1", "2", "--m2", "1", "--k", "-1"],
+         'PASS product {"k": -1, "m1": 2, "m2": 1}\n'),
+        (["verify", "recombine", "--m", "1,1,1", "--n", "1,1", "--ell", "1", "--k", "0"],
+         'PASS recombine {"ell": 1, "k": 0, "m": [1, 1, 1], "n": [1, 1]}\n'),
+        (["verify", "deletion-kernel", "--m1", "1", "--m2", "2", "--m3", "0", "--mr", "3", "--k", "1"],
+         'PASS deletion-kernel {"k": 1, "m1": 1, "m2": 2, "m3": 0, "mr": 3}\n'),
+    ]
+
+    @pytest.mark.parametrize("argv,stdout", PASSING, ids=[f"argv{i}" for i in range(len(PASSING))])
+    def test_passing(self, argv, stdout, capsys):
+        # the line is built from the identity's flags, so these pin its bytes
         assert main(argv) == 0
-        assert capsys.readouterr().out.startswith("PASS")
+        assert capsys.readouterr().out == stdout
 
     def test_deletion_kernel(self, capsys):
         assert main(["verify", "deletion-kernel", "--m1", "2", "--m2", "1", "--m3", "1", "--mr", "2", "--k=-1"]) == 0
@@ -95,10 +101,11 @@ class TestVerify:
         # the reindexed side vanishes by the zero convention, the other
         # side does not.
         code = main(["verify", "recombine", "--m", "1,1,1", "--n", "1,1", "--ell", "0", "--k", "-1"])
-        out = capsys.readouterr().out
         assert code == 1
-        assert out.startswith("FAIL")
-        assert "difference:" in out
+        assert capsys.readouterr().out == (
+            'FAIL recombine {"ell": 0, "k": -1, "m": [1, 1, 1], "n": [1, 1]}\n'
+            "difference: 1 - 2q - q^2 + 4q^3 - q^4 - 2q^5 + q^6\n"
+        )
 
     def test_missing_flags(self, capsys):
         assert main(["verify", "double-expansion", "--N", "3"]) == 2
@@ -685,7 +692,8 @@ def test_block_scan_against_one_instance_oracle(data):
         except InvalidRange:
             rows = None
         deletion_check = altsum._deletion_check
-        patch.setattr(altsum, "_deletion_check", lambda params: summed.append(params) or deletion_check(params))
+        patch.setattr(altsum, "_deletion_check",
+                      lambda params, lhs: summed.append(params) or deletion_check(params, lhs))
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
